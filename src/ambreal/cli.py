@@ -11,11 +11,8 @@ import argparse
 import sys
 from fractions import Fraction
 
-from . import codec
 from .codec import (
     BOT_CELL,
-    EPStream,
-    approx,
     extract_gray,
     extract_sd,
     gray_encode,
@@ -27,8 +24,6 @@ from .codec import (
     sd_prefix_interval,
 )
 from .compact import (
-    EngineGray,
-    OracleGray,
     grayk_to_sdk,
     grayk_truncate,
     gray_lazy,

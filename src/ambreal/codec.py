@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .engine import OCon, Obs, OUnresolved, SpineFailure, UNLIMITED
+from .engine import OCon, Obs, OUnresolved, UNLIMITED
 from .intervals import IntervalSet
 from .terms import BOT, Con, Term
 
@@ -331,15 +331,19 @@ def extract_sd(engine, source, n: int, fuel=UNLIMITED, wrap: str = "star") -> li
     return out
 
 
-def extract_gray(engine, source, n: int, fuel=UNLIMITED) -> list:
-    """Read n gray cells from a Pair spine of race-valued cells."""
+def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
+    """Read up to n gray cells from a Pair spine of race-valued cells.
+
+    Returns the cells read and the spine node after the last of them, or
+    None for that node (and fewer cells) where the spine itself stays
+    Unresolved, so that reading can go on from where it stopped.
+    """
     node = engine._node(source)
     out = []
-    for _ in range(n):
+    while len(out) < n:
         view, _left = engine.resolve_amb(node, fuel)
         if view is None:
-            out.append(None)
-            break
+            return out, None
         kind, tag, kids = view
         if tag != "Pair":
             raise ShapeError(f"stream cons resolved to {tag}")
@@ -350,6 +354,10 @@ def extract_gray(engine, source, n: int, fuel=UNLIMITED) -> list:
             ck, ctag, ckids = cellview
             out.append(_decode_gray_obs(OCon(ctag, ())))
         node = kids[1]
-    while len(out) < n:
-        out.append(None)
-    return out
+    return out, node
+
+
+def extract_gray(engine, source, n: int, fuel=UNLIMITED) -> list:
+    """Read n gray cells from a Pair spine of race-valued cells."""
+    out, _tail = read_gray(engine, source, n, fuel)
+    return out + [None] * (n - len(out))

@@ -37,12 +37,12 @@ from .codec import (
     EPStream,
     gray_encode,
     inject_sd,
-    extract_gray,
+    read_gray,
     _spine,
     SD_TERMS,
 )
-from .engine import UNLIMITED
 from .intervals import EmptySet, IntervalSet
+from .terms import BOT
 
 HALF = Fraction(1, 2)
 
@@ -439,38 +439,39 @@ class EngineGray:
         self._cells = {}
         self._kids = {}
 
-    def _code_cells(self, which, upto):
-        cells, node = self._cells.get(which, ([], None))
-        if node is None:
-            stream = (
-                sdk_min_stream(self.source, self.stream_limit)
-                if which == "min"
-                else sdk_max_stream(self.source, self.stream_limit)
-            )
-            e = self.prelude.engine
-            if isinstance(stream, EPStream):
-                src = inject_sd(stream)
-            else:  # truncated walk: finite prefix, divergent tail
-                from .terms import BOT
+    def _code_node(self, which):
+        stream = (
+            sdk_min_stream(self.source, self.stream_limit)
+            if which == "min"
+            else sdk_max_stream(self.source, self.stream_limit)
+        )
+        if isinstance(stream, EPStream):
+            src = inject_sd(stream)
+        else:  # truncated walk: finite prefix, divergent tail
+            src = _spine([SD_TERMS[d] for d in stream], BOT)
+        e = self.prelude.engine
+        return e.apply(
+            self.prelude.node("sd2gray"),
+            e.apply(self.prelude.node("sd_emb"), e.load(src)),
+        )
 
-                src = _spine([SD_TERMS[d] for d in stream], BOT)
-            node = e.apply(
-                self.prelude.node("sd2gray"),
-                e.apply(self.prelude.node("sd_emb"), e.load(src)),
-            )
-        if len(cells) < upto:
-            got = extract_gray(self.prelude.engine, node, upto, self.fuel)
-            # extract_gray consumed the spine; keep absolute indexing by
-            # re-reading from the cached node each time
-            cells = got
-        self._cells[which] = (cells, node)
-        return cells
+    def _cell(self, which, i):
+        # the cells read so far and the unread spine tail (None once the
+        # spine stays Unresolved): each cell is read once, with one budget
+        if which not in self._cells:
+            self._cells[which] = ([], self._code_node(which))
+        cells, tail = self._cells[which]
+        if len(cells) <= i and tail is not None:
+            got, tail = read_gray(self.prelude.engine, tail, i + 1 - len(cells), self.fuel)
+            cells.extend(got)
+            self._cells[which] = (cells, tail)
+        return cells[i] if i < len(cells) else None
 
     def cell_min(self, i):
-        return self._code_cells("min", i + 1)[i]
+        return self._cell("min", i)
 
     def cell_max(self, i):
-        return self._code_cells("max", i + 1)[i]
+        return self._cell("max", i)
 
     def has_child(self, d):
         return d in self.source.digits
@@ -540,11 +541,10 @@ def _probe_digits(G) -> frozenset:
     raise UnresolvedNode("no probe case resolved")
 
 
-def grayk_to_sdk(G, n: int, fuel=None) -> SDTree:
+def grayk_to_sdk(G, n: int) -> SDTree:
     """Depth-n signed-digit tree converted from a Gray tree.
 
-    fuel is carried by engine-backed nodes themselves; the parameter is
-    accepted for signature stability and ignored for exact oracle trees.
+    Engine-backed nodes carry their own fuel.
     """
 
     def build(node, depth) -> SDTree:
@@ -563,9 +563,3 @@ def grayk_to_sdk(G, n: int, fuel=None) -> SDTree:
         return SDTree(E, kids=kids)
 
     return build(G, n)
-
-
-def hausdorff_sets(A: IntervalSet, B: IntervalSet) -> Fraction:
-    from .intervals import hausdorff_sets as _h
-
-    return _h(A, B)

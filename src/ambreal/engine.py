@@ -12,15 +12,13 @@ answer, and any result obtained at some fuel is returned unchanged at
 every larger fuel.
 
 The graph machine itself lives in _stepcore (pure Python) with an optional
-compiled twin _stepcore_cy; the fastest available one is selected at
-import unless AMBREAL_PURE=1 is set in the environment.
+compiled twin _stepcore_cy; the compiled one is selected at import when it
+is importable.
 """
 
 from __future__ import annotations
 
 import gc
-import os
-import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,19 +43,13 @@ from .terms import (
     _subst,
 )
 
-sys.setrecursionlimit(100000)
+try:
+    from . import _stepcore_cy as _core  # type: ignore
 
-if os.environ.get("AMBREAL_PURE"):
+    COMPILED = True
+except ImportError:
     _core = _pure
     COMPILED = False
-else:
-    try:
-        from . import _stepcore_cy as _core  # type: ignore
-
-        COMPILED = True
-    except ImportError:
-        _core = _pure
-        COMPILED = False
 
 UNLIMITED = 10**15
 
@@ -138,7 +130,17 @@ def compile_term(t: Term, scope=()):
         except ValueError:
             raise OpenTerm(f"unbound variable {t.name}") from None
     if isinstance(t, Con):
-        return (_pure.CON_, TAGNUM[t.tag], tuple(compile_term(a, scope) for a in t.args))
+        # a right-nested chain (a stream spine) compiles in one loop, so
+        # its length does not set the stack depth
+        spine = []
+        while isinstance(t, Con) and t.args:
+            spine.append(t)
+            t = t.args[-1]
+        code = (_pure.CON_, TAGNUM[t.tag], ()) if isinstance(t, Con) else compile_term(t, scope)
+        for c in reversed(spine):
+            heads = tuple(compile_term(a, scope) for a in c.args[:-1])
+            code = (_pure.CON_, TAGNUM[c.tag], heads + (code,))
+        return code
     if isinstance(t, Lam):
         return (_pure.LAM_, compile_term(t.body, (t.var,) + tuple(scope)))
     if isinstance(t, App):
@@ -231,8 +233,7 @@ class Engine:
     # node plumbing
 
     def load(self, t: Term):
-        if free_vars(t):
-            raise OpenTerm(f"term has free variables {sorted(free_vars(t))}")
+        """Compile a closed term into a node; OpenTerm if it is not closed."""
         return self.core.mk_node(compile_term(t))
 
     def _node(self, t):

@@ -9,7 +9,7 @@ here.  No floating point anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 ONE = Fraction(1)
 MINUS_ONE = Fraction(-1)

@@ -65,12 +65,6 @@ class Prelude:
             self._nodes[name] = self.engine.load(self.get(name))
         return self._nodes[name]
 
-    def app_node(self, name, *arg_nodes):
-        n = self.node(name)
-        for a in arg_nodes:
-            n = self.engine.apply(n, a)
-        return n
-
     def run(self, name, args, fuel=UNLIMITED, depth=8, policy="resolving") -> Obs:
         """Observe the application of a prelude program to argument terms."""
         e = self.engine

@@ -745,22 +745,24 @@ def parse_defs(src: str, env=None):
     """Parse a .cfp file: a list of (name, term) defs plus an optional main.
 
     Def names are in scope for later defs and for main; scoping is resolved
-    by substitution, so every returned term is closed relative to earlier
-    names only.  An initial name environment may be supplied.
+    by substituting the earlier names a body mentions (and only those), so
+    every returned term is closed relative to earlier names only.  An
+    initial name environment may be supplied.
     """
     defs, main = _Parser(src).defs()
     env = dict(env) if env else {}
-    out = []
-    for name, t in defs:
-        resolved = _subst(t, env)
+
+    def resolve(label, t):
+        resolved = _subst(t, {k: env[k] for k in free_vars(t) if k in env})
         unresolved = free_vars(resolved)
         if unresolved:
-            raise TermError(f"def {name}: unbound names {sorted(unresolved)}")
-        env[name] = resolved
-        out.append((name, resolved))
+            raise TermError(f"{label}: unbound names {sorted(unresolved)}")
+        return resolved
+
+    out = []
+    for name, t in defs:
+        env[name] = resolve(f"def {name}", t)
+        out.append((name, env[name]))
     if main is not None:
-        main = _subst(main, env)
-        unresolved = free_vars(main)
-        if unresolved:
-            raise TermError(f"main: unbound names {sorted(unresolved)}")
+        main = resolve("main", main)
     return out, main

@@ -250,6 +250,26 @@ def test_sdk_to_grayk_examples(prelude):
     assert G3.has_child(1) and not G3.has_child(-1)
 
 
+def test_engine_gray_reads_each_code_cell_once(prelude, monkeypatch):
+    K = IntervalSet([(Fraction(-1, 3), Fraction(5, 7))])
+    G = sdk_to_grayk(sd_tree(K), prelude, fuel=10**4)
+    e = prelude.engine
+    calls = []
+    resolve = e.resolve_amb
+
+    def counted(*args):
+        calls.append(args)
+        return resolve(*args)
+
+    monkeypatch.setattr(e, "resolve_amb", counted)
+    mins = [G.cell_min(i) for i in range(8)]
+    assert mins == list(gray_encode(K.min(), 8)[0])
+    assert len(calls) == 8  # one spine resolution per cell, none repeated
+    assert G.cell_min(3) == mins[3] and len(calls) == 8
+    assert [G.cell_max(i) for i in (5, 2, 7)] == [gray_encode(K.max(), 8)[0][i] for i in (5, 2, 7)]
+    assert len(calls) == 16
+
+
 def test_sdk_to_grayk_value_agreement(prelude):
     rng = random.Random(37)
     n = 8

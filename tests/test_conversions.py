@@ -6,7 +6,10 @@ read from sd2gray equals the canonical gray cell, and the unknown cell of
 a dyadic stays unresolved while its neighbours remain readable.
 """
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -126,3 +129,32 @@ def test_unresolved_cell_stays_unresolved_across_fuels(prelude):
     for fuel in (10**3, 10**5):
         cells = run_sd2gray(prelude, x, j + 1, fuel=fuel)
         assert cells[j] is None
+
+
+LONG_PERIOD = """
+from ambreal.codec import EPStream, extract_gray, inject_sd
+from ambreal.prelude import load_prelude
+
+p = load_prelude()
+e = p.engine
+src = e.load(inject_sd(EPStream((), (1, 0, -1) * 40000)))
+node = e.apply(p.node("sd2gray"), e.apply(p.node("sd_emb"), src))
+print(extract_gray(e, node, 6, 10**5))
+"""
+
+
+def test_long_period_stream_loads():
+    # 120 000 spine cells: loading must not recurse once per cell.  A child
+    # interpreter keeps a stack overflow from taking the test run down.
+    import ambreal
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(list(ambreal.__path__)[0]), env.get("PYTHONPATH", "")]
+    )
+    run = subprocess.run(
+        [sys.executable, "-c", LONG_PERIOD], env=env, capture_output=True, text=True, timeout=600
+    )
+    assert run.returncode == 0, run.stderr[-2000:]
+    # (1, 0, -1) repeated has the value of its one-period stream, 3/7
+    assert run.stdout.split("\n")[0] == str(gray_encode(Fraction(3, 7), 6)[0])

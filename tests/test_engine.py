@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ambreal.engine import (
     Engine,
     OCon,
+    OpenTerm,
     OUnresolved,
     SpineFailure,
     det_step,
@@ -16,8 +17,12 @@ from ambreal.terms import (
     BOT,
     NIL,
     App,
+    Case,
+    Clause,
     Con,
     Lam,
+    PCon,
+    PVar,
     Var,
     alpha_eq,
     con,
@@ -299,3 +304,23 @@ def test_observation_never_mixes_branches():
     assert v[1] == "Left"
     o = e.observe(node, 2, 10**3, "raw")
     assert render_obs(o) == "Left(Nil)"
+
+
+@pytest.mark.parametrize(
+    "t",
+    [
+        Var("x"),
+        Lam("y", con("Pair", Var("y"), Var("x"))),
+        # x is bound by the first clause only
+        Case(
+            TRUE,
+            (
+                Clause(PCon("Left", (PVar("x"),)), Var("x")),
+                Clause(PCon("Right", (PVar("z"),)), Var("x")),
+            ),
+        ),
+    ],
+)
+def test_load_rejects_open_terms(e, t):
+    with pytest.raises(OpenTerm, match="unbound variable x"):
+        e.load(t)
