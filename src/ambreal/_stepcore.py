@@ -24,8 +24,8 @@ None of this changes results, only the cost of reporting Unresolved.
 Nodes have at most two children (constructor arity is bounded by 2 and
 application/case use the same slots), stored in direct fields.
 
-There is a Cython twin of this module (_stepcore_cy.pyx) with the same API
-and identical tick accounting; ambreal.engine picks whichever is importable.
+ambreal.engine is the only caller; the tick accounting above is pinned by
+exact fuel-left values in tests/test_engine.py.
 """
 
 # node kinds / code opcodes (shared numbering where it helps)
@@ -74,21 +74,6 @@ def mk_node(code):
 
 def mk_app(f, a):
     return Node(APP, k0=f, k1=a)
-
-
-def mk_con(tag, kids):
-    kids = list(kids)
-    return Node(
-        CON,
-        tag=tag,
-        k0=kids[0] if kids else None,
-        k1=kids[1] if len(kids) > 1 else None,
-        q=not kids,
-    )
-
-
-def mk_bot():
-    return Node(BOT, q=True)
 
 
 def node_view(n):
@@ -350,13 +335,6 @@ def _step(x):
         x = f
 
 
-def step_node(x):
-    """Perform one root step at x.  Returns False iff x is frozen forever."""
-    global _tick
-    _tick += 1
-    return _step(x)
-
-
 def whnf_node(x, fuel):
     """Drive x to weak head normal form.  Returns (node or None, fuel left)."""
     global _tick
@@ -446,8 +424,9 @@ def canon_form(root, limit=20000):
         while e is not None:
             env_ix.append(idx[id(follow(e[0]))])
             e = e[1]
-        # code by identity: shared code positions discriminate exactly like
-        # the compiled core's registration indexes
+        # code by identity: nodes at one position of one compiled term
+        # share its code tuple; equal code from separate loads compares
+        # unequal, which can only delay a cut-off
         parts.append((n.kind, n.tag, n.q, id(n.code), k0, k1, tuple(env_ix)))
     return tuple(parts)
 

@@ -19,6 +19,7 @@ from .codec import (
     gray_prefix_set,
     inject_gray,
     inject_sd,
+    parse_digits,
     parse_stream,
     sd_encode,
     sd_prefix_interval,
@@ -213,17 +214,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cells = []
-    text = args.prefix.strip()
-    if text:
-        for tok in text.split(","):
-            tok = tok.strip()
-            if tok == "_":
-                if args.rep != "gray":
-                    raise CliError("bot cell only exists in gray prefixes")
-                cells.append(BOT_CELL)
-            else:
-                cells.append(int(tok))
+    cells = parse_digits(args.prefix, args.rep)
     s = sd_prefix_interval(cells) if args.rep == "sd" else gray_prefix_set(cells)
     print(_fmt_set(s))
     return 0

@@ -98,32 +98,33 @@ class EPStream:
         return x
 
 
+def parse_digits(text: str, rep: str) -> tuple:
+    """Comma-separated digits of rep ("sd" or "gray"), "_" for a gray bot cell."""
+    out = []
+    for tok in text.split(","):
+        tok = tok.strip()
+        if not tok:
+            continue
+        if tok == "_":
+            if rep != "gray":
+                raise ValueError("bot cell only exists in gray streams")
+            out.append(BOT_CELL)
+        else:
+            d = int(tok)
+            if rep == "sd" and d not in (-1, 0, 1):
+                raise ValueError(f"bad signed digit {tok}")
+            if rep == "gray" and d not in (-1, 1):
+                raise ValueError(f"bad gray cell {tok}")
+            out.append(d)
+    return tuple(out)
+
+
 def parse_stream(text: str, rep: str) -> EPStream:
-    """CLI stream literal "pre;period", digits comma-separated, "_" for bot."""
-
-    def digits(s):
-        out = []
-        for tok in s.split(","):
-            tok = tok.strip()
-            if not tok:
-                continue
-            if tok == "_":
-                if rep != "gray":
-                    raise ValueError("bot cell only exists in gray streams")
-                out.append(BOT_CELL)
-            else:
-                d = int(tok)
-                if rep == "sd" and d not in (-1, 0, 1):
-                    raise ValueError(f"bad signed digit {tok}")
-                if rep == "gray" and d not in (-1, 1):
-                    raise ValueError(f"bad gray cell {tok}")
-                out.append(d)
-        return tuple(out)
-
+    """CLI stream literal "pre;period" of parse_digits lists."""
     if ";" in text:
         pre, per = text.split(";", 1)
-        return EPStream(digits(pre), digits(per))
-    return EPStream((), digits(text))
+        return EPStream(parse_digits(pre, rep), parse_digits(per, rep))
+    return EPStream((), parse_digits(text, rep))
 
 
 # ---------------------------------------------------------------------------

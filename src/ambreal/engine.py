@@ -11,9 +11,7 @@ Fuel counts root steps.  Exhaustion yields Unresolved, never a wrong
 answer, and any result obtained at some fuel is returned unchanged at
 every larger fuel.
 
-The graph machine itself lives in _stepcore (pure Python) with an optional
-compiled twin _stepcore_cy; the compiled one is selected at import when it
-is importable.
+The graph machine itself lives in _stepcore.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ import gc
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _stepcore as _pure
+from . import _stepcore as _core
 from .terms import (
     ARITY,
     App,
@@ -43,13 +41,9 @@ from .terms import (
     _subst,
 )
 
-try:
-    from . import _stepcore_cy as _core  # type: ignore
-
-    COMPILED = True
-except ImportError:
-    _core = _pure
-    COMPILED = False
+# there is no compiled step core; the benchmark reports this flag
+# (perfbench/ready.py)
+COMPILED = False
 
 UNLIMITED = 10**15
 
@@ -103,10 +97,6 @@ def _det(t: Term) -> Term:
     return t
 
 
-def is_value(t: Term) -> bool:
-    return isinstance(t, (Lam, Con))
-
-
 def strict_apply(f: Term, a: Term) -> Term:
     """The case dispatch that forces a to a non-Amb value before applying f."""
     clauses = [
@@ -126,7 +116,7 @@ def strict_apply(f: Term, a: Term) -> Term:
 def compile_term(t: Term, scope=()):
     if isinstance(t, Var):
         try:
-            return (_pure.VAR_, scope.index(t.name))
+            return (_core.VAR_, scope.index(t.name))
         except ValueError:
             raise OpenTerm(f"unbound variable {t.name}") from None
     if isinstance(t, Con):
@@ -136,19 +126,19 @@ def compile_term(t: Term, scope=()):
         while isinstance(t, Con) and t.args:
             spine.append(t)
             t = t.args[-1]
-        code = (_pure.CON_, TAGNUM[t.tag], ()) if isinstance(t, Con) else compile_term(t, scope)
+        code = (_core.CON_, TAGNUM[t.tag], ()) if isinstance(t, Con) else compile_term(t, scope)
         for c in reversed(spine):
             heads = tuple(compile_term(a, scope) for a in c.args[:-1])
-            code = (_pure.CON_, TAGNUM[c.tag], heads + (code,))
+            code = (_core.CON_, TAGNUM[c.tag], heads + (code,))
         return code
     if isinstance(t, Lam):
-        return (_pure.LAM_, compile_term(t.body, (t.var,) + tuple(scope)))
+        return (_core.LAM_, compile_term(t.body, (t.var,) + tuple(scope)))
     if isinstance(t, App):
-        return (_pure.APP_, compile_term(t.fn, scope), compile_term(t.arg, scope))
+        return (_core.APP_, compile_term(t.fn, scope), compile_term(t.arg, scope))
     if isinstance(t, Rec):
-        return (_pure.REC_, compile_term(t.body, scope))
+        return (_core.REC_, compile_term(t.body, scope))
     if isinstance(t, Bot):
-        return (_pure.BOT_,)
+        return (_core.BOT_,)
     if isinstance(t, Case):
         clauses = []
         for c in t.clauses:
@@ -157,16 +147,16 @@ def compile_term(t: Term, scope=()):
                 raise EngineError("pattern binds more than 32 variables")
             inner = tuple(reversed(binders)) + tuple(scope)
             clauses.append((compile_pattern(c.pattern), compile_term(c.body, inner)))
-        return (_pure.CASE_, compile_term(t.scrutinee, scope), tuple(clauses))
+        return (_core.CASE_, compile_term(t.scrutinee, scope), tuple(clauses))
     raise TypeError(t)
 
 
 def compile_pattern(p):
     if isinstance(p, PVar):
-        return (_pure.PVAR,)
+        return (_core.PVAR,)
     if isinstance(p, PFun):
-        return (_pure.PFUN,)
-    return (_pure.PCON, TAGNUM[p.tag], tuple(compile_pattern(a) for a in p.args))
+        return (_core.PFUN,)
+    return (_core.PCON, TAGNUM[p.tag], tuple(compile_pattern(a) for a in p.args))
 
 
 # ---------------------------------------------------------------------------
@@ -210,40 +200,31 @@ def render_obs(o: Obs) -> str:
     return f"{o.tag}({', '.join(render_obs(c) for c in o.children)})"
 
 
-def obs_con(tag, *children):
-    return OCon(tag, tuple(children))
-
-
 # ---------------------------------------------------------------------------
 # the engine
 
 
 class Engine:
-    """One evaluation graph.  Nodes returned by its methods belong to it.
+    """Evaluation on the step core's graph.
 
-    The compiled core keeps its graph in per-instance pools, so each
-    Engine gets a fresh core instance; the pure core shares module-level
-    functions over garbage-collected node objects.
+    An Engine holds no state: nodes are garbage-collected objects of
+    _stepcore, so nodes from one Engine may be used with any other.
     """
-
-    def __init__(self, core=None):
-        base = core or _core
-        self.core = base.new_core() if hasattr(base, "new_core") else base
 
     # node plumbing
 
     def load(self, t: Term):
         """Compile a closed term into a node; OpenTerm if it is not closed."""
-        return self.core.mk_node(compile_term(t))
+        return _core.mk_node(compile_term(t))
 
     def _node(self, t):
         return self.load(t) if isinstance(t, Term) else t
 
     def view(self, node):
-        kind, tag, kids = self.core.node_view(node)
-        if kind == _pure.CON:
+        kind, tag, kids = _core.node_view(node)
+        if kind == _core.CON:
             return ("con", TAGS[tag], list(kids))
-        if kind == _pure.LAM:
+        if kind == _core.LAM:
             return ("lam", None, None)
         return ("pending", None, None)
 
@@ -263,7 +244,7 @@ class Engine:
         node = self._node(t)
         paused = self._pause_gc(fuel)
         try:
-            node, left = self.core.whnf_node(node, fuel)
+            node, left = _core.whnf_node(node, fuel)
         finally:
             if paused:
                 gc.enable()
@@ -273,7 +254,7 @@ class Engine:
         node = self._node(t)
         paused = self._pause_gc(fuel)
         try:
-            node, left = self.core.resolve_node(node, fuel)
+            node, left = _core.resolve_node(node, fuel)
         finally:
             if paused:
                 gc.enable()
@@ -283,13 +264,13 @@ class Engine:
         node = self._node(t)
         paused = self._pause_gc(fuel)
         try:
-            status, node, left = self.core.collapse_node(node, fuel)
+            status, node, left = _core.collapse_node(node, fuel)
         finally:
             if paused:
                 gc.enable()
-        if status == _pure.MALFORMED:
+        if status == _core.MALFORMED:
             raise MalformedStar(f"iteration value resolved to {self.view(node)[1]}")
-        if status == _pure.UNRESOLVED:
+        if status == _core.UNRESOLVED:
             return None, 0
         return self.view(node), left
 
@@ -306,12 +287,12 @@ class Engine:
         return self._observe(node, depth, fuel_per_node, policy == "resolving")
 
     def _observe(self, node, depth, fuel, resolving) -> Obs:
-        drive = self.core.resolve_node if resolving else self.core.whnf_node
+        drive = _core.resolve_node if resolving else _core.whnf_node
         r, _ = drive(node, fuel)
         if r is None:
             return UNRESOLVED_OBS
-        kind, tag, kids = self.core.node_view(r)
-        if kind == _pure.LAM:
+        kind, tag, kids = _core.node_view(r)
+        if kind == _core.LAM:
             return LAM_OBS
         name = TAGS[tag]
         if not kids:
@@ -333,20 +314,20 @@ class Engine:
         """
         node = self._node(t)
         for _ in range(k):
-            r, _left = self.core.resolve_node(node, fuel)
+            r, _left = _core.resolve_node(node, fuel)
             if r is None:
                 return UNRESOLVED_OBS
-            kind, tag, kids = self.core.node_view(r)
-            if kind != _pure.CON or tag != _pure.PAIR:
-                raise SpineFailure(f"spine head is {TAGS[tag] if kind == _pure.CON else 'a function'}")
+            kind, tag, kids = _core.node_view(r)
+            if kind != _core.CON or tag != _core.PAIR:
+                raise SpineFailure(f"spine head is {TAGS[tag] if kind == _core.CON else 'a function'}")
             node = kids[1]
-        r, _left = self.core.resolve_node(node, fuel)
+        r, _left = _core.resolve_node(node, fuel)
         if r is None:
             return UNRESOLVED_OBS
-        kind, tag, kids = self.core.node_view(r)
-        if kind != _pure.CON or tag != _pure.PAIR:
-            raise SpineFailure(f"spine head is {TAGS[tag] if kind == _pure.CON else 'a function'}")
+        kind, tag, kids = _core.node_view(r)
+        if kind != _core.CON or tag != _core.PAIR:
+            raise SpineFailure(f"spine head is {TAGS[tag] if kind == _core.CON else 'a function'}")
         return self._observe(kids[0], depth, fuel, True)
 
     def apply(self, fnode, anode):
-        return self.core.mk_app(fnode, anode)
+        return _core.mk_app(fnode, anode)

@@ -43,9 +43,9 @@ def _cases(t: Term):
 
 
 class Prelude:
-    def __init__(self, terms, engine=None):
+    def __init__(self, terms):
         self.terms = dict(terms)
-        self.engine = engine or Engine()
+        self.engine = Engine()
         self._nodes = {}
 
     def __contains__(self, name):
@@ -78,7 +78,7 @@ def prelude_source() -> str:
     return resources.files(__package__).joinpath("prelude.cfp").read_text()
 
 
-def load_prelude(engine=None) -> Prelude:
+def load_prelude() -> Prelude:
     defs, _main = parse_defs(prelude_source())
     for name, term in defs:
         try:
@@ -86,4 +86,4 @@ def load_prelude(engine=None) -> Prelude:
                 check_compatibility(c.clauses)
         except IncompatibleClauses as exc:
             raise PreludeError(name, exc) from exc
-    return Prelude(defs, engine)
+    return Prelude(defs)

@@ -152,3 +152,16 @@ def test_oracle_bot_cells():
 def test_usage_error_exit_two():
     code, _, _ = run("oracle", "1,0")
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "prefix, rep, message",
+    [
+        ("0,1", "gray", "bad gray cell 0"),  # 0 is not the bot cell "_"
+        ("2", "sd", "bad signed digit 2"),
+        ("_,1", "sd", "bot cell only exists in gray"),
+    ],
+)
+def test_oracle_rejects_bad_digits(prefix, rep, message):
+    code, out, err = run("oracle", prefix, rep)
+    assert code == 2 and out == "" and message in err

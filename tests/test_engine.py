@@ -3,6 +3,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ambreal import _stepcore
+from ambreal.codec import inject_sd, sd_encode
 from ambreal.engine import (
     Engine,
     OCon,
@@ -13,6 +15,7 @@ from ambreal.engine import (
     render_obs,
     strict_apply,
 )
+from ambreal.prelude import Prelude
 from ambreal.terms import (
     BOT,
     NIL,
@@ -26,6 +29,7 @@ from ambreal.terms import (
     Var,
     alpha_eq,
     con,
+    parse_defs,
     parse_term,
     print_term,
 )
@@ -324,3 +328,58 @@ def test_observation_never_mixes_branches():
 def test_load_rejects_open_terms(e, t):
     with pytest.raises(OpenTerm, match="unbound variable x"):
         e.load(t)
+
+
+# ---------------------------------------------------------------------------
+# tick accounting: exact fuel left, pinned
+
+
+@pytest.mark.parametrize(
+    "src, head, left",
+    [
+        ("bot", None, 0),
+        ("rec (fun f -> f)", None, 0),
+        ("(fun a -> a) Nil", "Nil", 9999),
+        ("por Pair(bot, Left(Nil))", "Left", 9998),
+        ("f_ret Nil", "Amb", 9999),
+        ("rec (fun s -> Pair(Nil, s))", "Pair", 9998),
+    ],
+)
+def test_whnf_fuel_left(prelude, src, head, left):
+    t = parse_defs(f"main = {src} ;", dict(prelude.terms))[1]
+    r, got = Engine().whnf(t, 10**4)
+    assert (r and r[1], got) == (head, left)
+
+
+@pytest.mark.parametrize(
+    "src, head, left",
+    [
+        ("Amb(bot, Right(Nil))", "Right", 10**4),
+        ("Amb(Left(Nil), Right(Nil))", "Left", 10**4),
+        ("Amb(bot, Right(Amb(Left(Right(Nil)), bot)))", "Right", 10**4),
+        ("Amb(rec (fun f -> f), (fun a -> (fun b -> b) a) Left(Nil))", "Left", 9998),
+    ],
+)
+def test_race_fuel_left(src, head, left):
+    r, got = Engine().resolve_amb(parse_term(src), 10**4)
+    assert (r[1], got) == (head, left)
+
+
+def test_collapse_fuel_left(prelude):
+    # the first Gray cell of x: f_d over the signed-digit embedding.  One
+    # fresh Prelude for all four, so the first run also pays for
+    # evaluating the shared f_d and sd_emb nodes and the others do not.
+    p = Prelude(prelude.terms)
+    e = p.engine
+    got = []
+    for x in (Fraction(1, 3), Fraction(1, 64), Fraction(-7, 32), Fraction(0)):
+        _, s = sd_encode(x, 0)
+        n = e.apply(p.node("f_d"), e.apply(p.node("sd_emb"), e.load(inject_sd(s))))
+        status, v, left = _stepcore.collapse_node(n, 10**4)
+        got.append((status, v and e.view(v)[1], left))
+    assert got == [
+        (_stepcore.OK, "Right", 9964),
+        (_stepcore.OK, "Right", 9876),
+        (_stepcore.OK, "Left", 9951),
+        (_stepcore.UNRESOLVED, None, 0),
+    ]
