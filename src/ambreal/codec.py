@@ -1,10 +1,11 @@
 """Signed-digit and Gray-code representations of rationals in [-1,1].
 
-The canonical encoders work on exact Fractions and return eventually
-periodic streams (rational orbits under x -> 2x-d and the tent map revisit
-a state after at most ~2*denominator steps).  Prefix oracles map finite
-digit words to exact interval sets; they are the ground truth every
-engine-level conversion is checked against.
+The canonical encoders walk the orbits of x -> 2x-d and of the tent map on
+the integer numerator of x over its fixed denominator and return
+eventually periodic streams (a rational orbit revisits a state after at
+most ~2*denominator steps).  Prefix oracles map finite digit words to
+exact interval sets; they are the ground truth every engine-level
+conversion is checked against.
 
 Digit conventions, here and in term encodings:
 
@@ -131,55 +132,44 @@ def parse_stream(text: str, rep: str) -> EPStream:
 # canonical encoders
 
 
+def _orbit(x, step, n: int) -> tuple:
+    """Walk the orbit of x = a/q on the integer numerator a until a state
+    repeats; step(a, q) gives the cell of a and the next numerator, whose
+    denominator stays q.  Returns the first n cells and the stream."""
+    x = _check_domain(x)
+    a, q = x.numerator, x.denominator
+    cells = []
+    seen = {}
+    while a not in seen:
+        seen[a] = len(cells)
+        c, a = step(a, q)
+        cells.append(c)
+    start = seen[a]
+    stream = EPStream(tuple(cells[:start]), tuple(cells[start:]))
+    return stream.take(n), stream
+
+
+def _sd_step(a, q):
+    d = -1 if 4 * a <= -q else (1 if 4 * a >= q else 0)
+    return d, 2 * a - d * q
+
+
+def _gray_step(a, q):
+    return (-1 if a < 0 else (1 if a > 0 else BOT_CELL)), q - 2 * abs(a)
+
+
 def sd_encode(x, n: int) -> tuple:
     """First n signed digits of x plus the full eventually periodic stream.
 
     Digit choice: -1 below -1/4, +1 above 1/4, else 0; then recurse on
     2x - d.  Thresholds are symmetric so negation flips digits exactly.
     """
-    x = _check_domain(x)
-    digits = []
-    seen = {}
-    pre, period = None, None
-    cur = x
-    i = 0
-    while True:
-        if cur in seen:
-            start = seen[cur]
-            pre, period = tuple(digits[:start]), tuple(digits[start:])
-            break
-        seen[cur] = i
-        if cur <= Fraction(-1, 4):
-            d = -1
-        elif cur >= Fraction(1, 4):
-            d = 1
-        else:
-            d = 0
-        digits.append(d)
-        cur = 2 * cur - d
-        i += 1
-    stream = EPStream(pre, period)
-    return stream.take(n), stream
+    return _orbit(x, _sd_step, n)
 
 
 def gray_encode(x, n: int) -> tuple:
     """First n gray cells of x (sign of the tent orbit) plus the stream."""
-    x = _check_domain(x)
-    cells = []
-    seen = {}
-    cur = x
-    i = 0
-    while True:
-        if cur in seen:
-            start = seen[cur]
-            pre, period = tuple(cells[:start]), tuple(cells[start:])
-            break
-        seen[cur] = i
-        cells.append(-1 if cur < 0 else (1 if cur > 0 else BOT_CELL))
-        cur = 1 - 2 * abs(cur)
-        i += 1
-    stream = EPStream(pre, period)
-    return stream.take(n), stream
+    return _orbit(x, _gray_step, n)
 
 
 # ---------------------------------------------------------------------------
@@ -294,17 +284,6 @@ def _decode_sd_obs(o: Obs) -> Optional[int]:
     raise ShapeError(f"not a signed digit: {o}")
 
 
-def _decode_gray_obs(o: Obs) -> Optional[int]:
-    if isinstance(o, OUnresolved):
-        return None
-    if isinstance(o, OCon):
-        if o.tag == "Left":
-            return -1
-        if o.tag == "Right":
-            return 1
-    raise ShapeError(f"not a gray cell: {o}")
-
-
 def extract_sd(engine, source, n: int, fuel=UNLIMITED, wrap: str = "star") -> list:
     """Read n signed digits from a stream value; None marks Unresolved.
 
@@ -332,6 +311,9 @@ def extract_sd(engine, source, n: int, fuel=UNLIMITED, wrap: str = "star") -> li
     return out
 
 
+_GRAY_TAGS = {"Left": -1, "Right": 1}
+
+
 def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
     """Read up to n gray cells from a Pair spine of race-valued cells.
 
@@ -352,8 +334,10 @@ def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
         if cellview is None:
             out.append(None)
         else:
-            ck, ctag, ckids = cellview
-            out.append(_decode_gray_obs(OCon(ctag, ())))
+            ctag = cellview[1]
+            if ctag not in _GRAY_TAGS:
+                raise ShapeError(f"not a gray cell: {ctag}")
+            out.append(_GRAY_TAGS[ctag])
         node = kids[1]
     return out, node
 

@@ -120,17 +120,15 @@ def sd_tree(K: IntervalSet, _memo=None) -> SDTree:
 
 
 def sdk_truncate(K: IntervalSet, n: int) -> SDTree:
-    """Eager truncation: n levels of children, leaves keep their digit set."""
-    _check_nonempty(K)
+    """Eager truncation of sd_tree(K): n levels of children, leaves keep
+    their digit set."""
 
-    def build(S, depth):
-        digits = frozenset(d for d in (-1, 0, 1) if restrict(S, d))
+    def cut(T, depth):
         if depth == 0:
-            return SDTree(digits, kids={})
-        kids = {d: build(restrict(S, d).affine(2, -d), depth - 1) for d in digits}
-        return SDTree(digits, kids=kids)
+            return SDTree(T.digits, kids={})
+        return SDTree(T.digits, kids={d: cut(T.child(d), depth - 1) for d in T.digits})
 
-    return build(K, n)
+    return cut(sd_tree(K), n)
 
 
 def sdk_negate(T: SDTree) -> SDTree:
@@ -175,13 +173,18 @@ def sdk_tent_child(T: SDTree, d: int) -> SDTree:
     return out
 
 
-def sdk_min_stream(T: SDTree, limit: int = 4096):
+# longest min/max path walked before giving up on finding its cycle
+STREAM_LIMIT = 4096
+
+
+def sdk_min_stream(T: SDTree):
     """Digits of the least path; an EPStream when the walk becomes cyclic,
-    otherwise (for truncated input) the list of digits seen."""
+    otherwise (for truncated input or beyond STREAM_LIMIT digits) the list
+    of digits seen."""
     digits = []
     seen = {}
     node = T
-    for i in range(limit):
+    for i in range(STREAM_LIMIT):
         key = id(node)
         if key in seen:
             k = seen[key]
@@ -196,8 +199,8 @@ def sdk_min_stream(T: SDTree, limit: int = 4096):
     return digits
 
 
-def sdk_max_stream(T: SDTree, limit: int = 4096):
-    out = sdk_min_stream(sdk_negate(T), limit)
+def sdk_max_stream(T: SDTree):
+    out = sdk_min_stream(sdk_negate(T))
     if isinstance(out, EPStream):
         return EPStream(tuple(-d for d in out.pre), tuple(-d for d in out.period))
     return [-d for d in out]
@@ -429,22 +432,17 @@ class EngineGray:
     tent-child transform.
     """
 
-    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids", "stream_limit")
+    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids")
 
-    def __init__(self, source: SDTree, prelude, fuel=10**6, stream_limit=4096):
+    def __init__(self, source: SDTree, prelude, fuel=10**6):
         self.source = source
         self.prelude = prelude
         self.fuel = fuel
-        self.stream_limit = stream_limit
         self._cells = {}
         self._kids = {}
 
     def _code_node(self, which):
-        stream = (
-            sdk_min_stream(self.source, self.stream_limit)
-            if which == "min"
-            else sdk_max_stream(self.source, self.stream_limit)
-        )
+        stream = sdk_min_stream(self.source) if which == "min" else sdk_max_stream(self.source)
         if isinstance(stream, EPStream):
             src = inject_sd(stream)
         else:  # truncated walk: finite prefix, divergent tail
@@ -478,9 +476,7 @@ class EngineGray:
 
     def child(self, d):
         if d not in self._kids:
-            self._kids[d] = EngineGray(
-                sdk_tent_child(self.source, d), self.prelude, self.fuel, self.stream_limit
-            )
+            self._kids[d] = EngineGray(sdk_tent_child(self.source, d), self.prelude, self.fuel)
         return self._kids[d]
 
 

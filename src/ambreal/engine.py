@@ -233,41 +233,27 @@ class Engine:
     # allocated node stays reachable, so cyclic-gc passes are pure cost;
     # they are paused for the duration of the call.
 
-    @staticmethod
-    def _pause_gc(fuel):
-        if fuel >= 50000 and gc.isenabled():
-            gc.disable()
-            return True
-        return False
-
-    def whnf(self, t, fuel=UNLIMITED):
+    def _drive(self, drive, t, fuel):
         node = self._node(t)
-        paused = self._pause_gc(fuel)
+        paused = fuel >= 50000 and gc.isenabled()
+        if paused:
+            gc.disable()
         try:
-            node, left = _core.whnf_node(node, fuel)
+            return drive(node, fuel)
         finally:
             if paused:
                 gc.enable()
+
+    def whnf(self, t, fuel=UNLIMITED):
+        node, left = self._drive(_core.whnf_node, t, fuel)
         return (self.view(node) if node is not None else None), left
 
     def resolve_amb(self, t, fuel=UNLIMITED):
-        node = self._node(t)
-        paused = self._pause_gc(fuel)
-        try:
-            node, left = _core.resolve_node(node, fuel)
-        finally:
-            if paused:
-                gc.enable()
+        node, left = self._drive(_core.resolve_node, t, fuel)
         return (self.view(node) if node is not None else None), left
 
     def collapse_star(self, t, fuel=UNLIMITED):
-        node = self._node(t)
-        paused = self._pause_gc(fuel)
-        try:
-            status, node, left = _core.collapse_node(node, fuel)
-        finally:
-            if paused:
-                gc.enable()
+        status, node, left = self._drive(_core.collapse_node, t, fuel)
         if status == _core.MALFORMED:
             raise MalformedStar(f"iteration value resolved to {self.view(node)[1]}")
         if status == _core.UNRESOLVED:
@@ -313,21 +299,15 @@ class Engine:
         SpineFailure; an unresolved spine element yields Unresolved.
         """
         node = self._node(t)
-        for _ in range(k):
+        for _ in range(k + 1):
             r, _left = _core.resolve_node(node, fuel)
             if r is None:
                 return UNRESOLVED_OBS
             kind, tag, kids = _core.node_view(r)
             if kind != _core.CON or tag != _core.PAIR:
                 raise SpineFailure(f"spine head is {TAGS[tag] if kind == _core.CON else 'a function'}")
-            node = kids[1]
-        r, _left = _core.resolve_node(node, fuel)
-        if r is None:
-            return UNRESOLVED_OBS
-        kind, tag, kids = _core.node_view(r)
-        if kind != _core.CON or tag != _core.PAIR:
-            raise SpineFailure(f"spine head is {TAGS[tag] if kind == _core.CON else 'a function'}")
-        return self._observe(kids[0], depth, fuel, True)
+            head, node = kids
+        return self._observe(head, depth, fuel, True)
 
     def apply(self, fnode, anode):
         return _core.mk_app(fnode, anode)

@@ -1,9 +1,11 @@
 """Loader for the prelude of extracted programs (prelude.cfp).
 
 Every definition is parsed, resolved against the earlier ones (so each
-entry is a closed term), compatibility-checked, and compiled once into a
-shared evaluation graph.  The combinators contain Amb only under binders,
-so sharing their nodes across runs never shares a commitment.
+entry is a closed term) and compiled once into a shared evaluation graph.
+Clause compatibility is checked while parsing, on every case; substituting
+closed definitions keeps the checked clauses alpha-equal, so loading does
+not check again.  The combinators contain Amb only under binders, so
+sharing their nodes across runs never shares a commitment.
 """
 
 from __future__ import annotations
@@ -11,13 +13,11 @@ from __future__ import annotations
 from importlib import resources
 
 from .engine import Engine, Obs, UNLIMITED
-from .terms import Case, IncompatibleClauses, Term, check_compatibility, parse_defs
+from .terms import Case, Term, parse_defs
 
-
-class PreludeError(Exception):
-    def __init__(self, name, cause):
-        super().__init__(f"prelude entry {name!r}: {cause}")
-        self.name = name
+# not called here: perfbench/spans.py wraps prelude.check_compatibility by
+# name to time the compatibility checks
+from .terms import check_compatibility  # noqa: F401
 
 
 class UnknownProgram(KeyError):
@@ -80,10 +80,4 @@ def prelude_source() -> str:
 
 def load_prelude() -> Prelude:
     defs, _main = parse_defs(prelude_source())
-    for name, term in defs:
-        try:
-            for c in _cases(term):
-                check_compatibility(c.clauses)
-        except IncompatibleClauses as exc:
-            raise PreludeError(name, exc) from exc
     return Prelude(defs)

@@ -96,6 +96,49 @@ def test_periodicity_bound():
         assert len(g.pre) + len(g.period) <= 4 * x.denominator + 4
 
 
+def _reference_orbit(x, cell, step, n):
+    # the encoders' contract as a plain Fraction loop: the pre-period ends
+    # where the orbit first revisits a state
+    cells, seen, cur = [], {}, Fraction(x)
+    while cur not in seen:
+        seen[cur] = len(cells)
+        cells.append(cell(cur))
+        cur = step(cur)
+    start = seen[cur]
+    stream = EPStream(tuple(cells[:start]), tuple(cells[start:]))
+    return stream.take(n), stream
+
+
+def reference_sd_encode(x, n):
+    def digit(v):
+        return -1 if v <= Fraction(-1, 4) else (1 if v >= Fraction(1, 4) else 0)
+
+    return _reference_orbit(x, digit, lambda v: 2 * v - digit(v), n)
+
+
+def reference_gray_encode(x, n):
+    return _reference_orbit(
+        x,
+        lambda v: -1 if v < 0 else (1 if v > 0 else BOT_CELL),
+        lambda v: 1 - 2 * abs(v),
+        n,
+    )
+
+
+def _encoder_inputs():
+    thresholds = [Fraction(m, 4) for m in range(-4, 5)]
+    dyadics = [Fraction(m, 2**k) for k in range(1, 13) for m in range(1 - 2**k, 2**k, 2)]
+    rng = random.Random(12)
+    rationals = [random_rational(rng, 2**12) for _ in range(300)]
+    return thresholds + dyadics + rationals + [Fraction(-699051, 2**20 - 3)]
+
+
+def test_encoders_match_fraction_reference():
+    for x in _encoder_inputs():
+        assert sd_encode(x, 48) == reference_sd_encode(x, 48), x
+        assert gray_encode(x, 48) == reference_gray_encode(x, 48), x
+
+
 # ---------------------------------------------------------------------------
 # prefix oracles
 

@@ -260,3 +260,9 @@ def test_parse_defs_scoping():
 def test_parse_defs_unbound():
     with pytest.raises(TermError):
         parse_defs("def a = nosuch ;")
+
+
+def test_parse_defs_rejects_incompatible_case():
+    # the parser checks every case, so a loaded prelude needs no re-check
+    with pytest.raises(IncompatibleClauses):
+        parse_defs("def f = fun x -> case x of { Left(a) -> a; Left(Nil) -> Left(Nil) } ;")
