@@ -41,6 +41,9 @@ ARITY_OF = (0, 1, 1, 2, 2)
 
 OK, UNRESOLVED, MALFORMED = range(3)
 
+# reachable nodes beyond which canon_form gives up (no cut-off is tried)
+CANON_LIMIT = 20000
+
 _tick = 0
 
 
@@ -74,13 +77,6 @@ def mk_node(code):
 
 def mk_app(f, a):
     return Node(APP, k0=f, k1=a)
-
-
-def node_view(n):
-    n = head(n)
-    a = _arity(n) if n.kind == CON else 0
-    kids = [n.k0, n.k1][:a] if n.kind == CON else None
-    return (n.kind, n.tag, kids)
 
 
 def follow(n):
@@ -386,12 +382,12 @@ def resolve_node(x, fuel):
         x = won
 
 
-def canon_form(root, limit=20000):
+def canon_form(root):
     """Canonical form of the rooted graph: equal forms are isomorphic.
 
     Node indexes follow a deterministic preorder, indirections are
     transparent, and generation scratch is excluded.  Returns None when
-    the reachable graph exceeds the limit.
+    the reachable graph exceeds CANON_LIMIT nodes.
     """
     idx = {}
     order = []
@@ -400,7 +396,7 @@ def canon_form(root, limit=20000):
         n = follow(stack.pop())
         if id(n) in idx:
             continue
-        if len(order) >= limit:
+        if len(order) >= CANON_LIMIT:
             return None
         idx[id(n)] = len(order)
         order.append(n)

@@ -26,7 +26,6 @@ from .codec import (
 )
 from .compact import (
     grayk_to_sdk,
-    grayk_truncate,
     gray_lazy,
     hausdorff_trunc,
     sd_tree,
@@ -72,8 +71,6 @@ def _digit_str(d, rep) -> str:
 
 def cmd_encode(args) -> int:
     x = _frac(args.value)
-    if abs(x) > 1:
-        raise CliError(f"{x} outside [-1,1]")
     n = args.digits
     if args.rep == "sd":
         digits, _ = sd_encode(x, n)
@@ -91,8 +88,6 @@ def _input_stream(args, rep) -> tuple:
     """Returns (stream, exact value)."""
     if args.value is not None:
         x = _frac(args.value)
-        if abs(x) > 1:
-            raise CliError(f"{x} outside [-1,1]")
         stream = (sd_encode if rep == "sd" else gray_encode)(x, 0)[1]
         return stream, x
     if args.stream is not None:
@@ -186,7 +181,7 @@ def cmd_tree(args) -> int:
         if args.rep == "sdk":
             print(_dump_sd(sdk_truncate(K, depth), depth))
         else:
-            print(_dump_gray(grayk_truncate(K, depth), depth, depth + 1))
+            print(_dump_gray(gray_lazy(K), depth, depth + 1))
         return 0
 
     if action == "convert":

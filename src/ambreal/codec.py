@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .engine import OCon, Obs, OUnresolved, UNLIMITED
+from .engine import UNLIMITED
 from .intervals import IntervalSet
 from .terms import BOT, Con, Term
 
@@ -267,51 +267,49 @@ def inject_gray(stream: EPStream, wrap: str = "star") -> Term:
 # extraction back out of the engine
 
 
-def _decode_sd_obs(o: Obs) -> Optional[int]:
-    if isinstance(o, OUnresolved):
+# Left / Right as a Gray cell, and under a signed digit's outer Left
+_SIGNS = {"Left": -1, "Right": 1}
+
+
+def _sd_digit(engine, node, fuel) -> Optional[int]:
+    """Decode one digit with at most two resolve_amb calls: Right(_) is 0,
+    Left(Left(_)) is -1, Left(Right(_)) is +1; None while Unresolved."""
+    view, _left = engine.resolve_amb(node, fuel)
+    if view is None:
         return None
-    if isinstance(o, OCon):
-        if o.tag == "Right":
-            return 0
-        if o.tag == "Left" and o.children and isinstance(o.children[0], OCon):
-            inner = o.children[0]
-            if inner.tag == "Left":
-                return -1
-            if inner.tag == "Right":
-                return 1
-        if o.tag == "Left" and o.children and isinstance(o.children[0], OUnresolved):
+    if view[1] == "Right":
+        return 0
+    if view[1] == "Left":
+        inner, _left = engine.resolve_amb(view[2][0], fuel)
+        if inner is None:
             return None
-    raise ShapeError(f"not a signed digit: {o}")
+        if inner[1] in _SIGNS:
+            return _SIGNS[inner[1]]
+        raise ShapeError(f"not a signed digit: Left({inner[1]})")
+    raise ShapeError(f"not a signed digit: {view[1]}")
 
 
-def extract_sd(engine, source, n: int, fuel=UNLIMITED, wrap: str = "star") -> list:
-    """Read n signed digits from a stream value; None marks Unresolved.
+def extract_sd(engine, source, n: int, fuel=UNLIMITED) -> list:
+    """Read n signed digits from a racing-cons stream; None marks Unresolved.
 
-    Under wrap="star" the source is a racing-cons stream: each cons is
-    resolved by collapsing its finite iteration with a fresh budget.  Under
-    wrap="plain" it is an ordinary Pair spine.
+    Each cons is resolved by collapsing its finite iteration with a fresh
+    budget, and each digit gets a fresh budget too.
     """
     node = engine._node(source)
     out = []
     for _ in range(n):
-        if wrap == "star":
-            view, _left = engine.collapse_star(node, fuel)
-        else:
-            view, _left = engine.whnf(node, fuel)
+        view, _left = engine.collapse_star(node, fuel)
         if view is None:
             out.append(None)
             break
         kind, tag, kids = view
         if tag != "Pair":
             raise ShapeError(f"stream cons resolved to {tag}")
-        out.append(_decode_sd_obs(engine._observe(kids[0], 3, fuel, True)))
+        out.append(_sd_digit(engine, kids[0], fuel))
         node = kids[1]
     while len(out) < n:
         out.append(None)
     return out
-
-
-_GRAY_TAGS = {"Left": -1, "Right": 1}
 
 
 def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
@@ -335,9 +333,9 @@ def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
             out.append(None)
         else:
             ctag = cellview[1]
-            if ctag not in _GRAY_TAGS:
+            if ctag not in _SIGNS:
                 raise ShapeError(f"not a gray cell: {ctag}")
-            out.append(_GRAY_TAGS[ctag])
+            out.append(_SIGNS[ctag])
         node = kids[1]
     return out, node
 

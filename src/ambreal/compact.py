@@ -294,16 +294,15 @@ def _flip(c):
 class OracleGray:
     """Gray tree of an exact set: codes from gray_encode, children exact."""
 
-    __slots__ = ("set", "_min", "_max", "_kids", "_memo", "depth_limit")
+    __slots__ = ("set", "_min", "_max", "_kids", "_memo")
 
-    def __init__(self, K: IntervalSet, depth_limit=None, _memo=None):
+    def __init__(self, K: IntervalSet, _memo=None):
         _check_nonempty(K)
         self.set = K
         self._min = gray_encode(K.min(), 0)[1]
         self._max = gray_encode(K.max(), 0)[1]
         self._kids = {}
         self._memo = {} if _memo is None else _memo
-        self.depth_limit = depth_limit
 
     def min_code(self) -> EPStream:
         return self._min
@@ -324,27 +323,16 @@ class OracleGray:
 
     def child(self, d) -> "OracleGray":
         if d not in self._kids:
-            if self.depth_limit is not None and self.depth_limit <= 0:
-                raise TruncatedTree("gray tree truncated")
             Kd = restrict(self.set, d)
             if not Kd:
                 raise KeyError(f"no child for {d}")
             img = Kd.affine(2, 1) if d == -1 else Kd.affine(-2, 1)
-            key = (img, self.depth_limit - 1 if self.depth_limit is not None else None)
-            node = self._memo.get(key)
+            node = self._memo.get(img)
             if node is None:
-                node = OracleGray(
-                    img,
-                    None if self.depth_limit is None else self.depth_limit - 1,
-                    self._memo,
-                )
-                self._memo[key] = node
+                node = OracleGray(img, self._memo)
+                self._memo[img] = node
             self._kids[d] = node
         return self._kids[d]
-
-
-def grayk_truncate(K: IntervalSet, n: int) -> OracleGray:
-    return OracleGray(K, depth_limit=n)
 
 
 def gray_lazy(K: IntervalSet) -> OracleGray:

@@ -59,10 +59,6 @@ class OpenTerm(EngineError):
     pass
 
 
-class SpineFailure(EngineError):
-    """A stream spine resolved to something that is not a Pair."""
-
-
 class MalformedStar(EngineError):
     """A finite-iteration value resolved to neither Left nor Right."""
 
@@ -221,12 +217,11 @@ class Engine:
         return self.load(t) if isinstance(t, Term) else t
 
     def view(self, node):
-        kind, tag, kids = _core.node_view(node)
-        if kind == _core.CON:
-            return ("con", TAGS[tag], list(kids))
-        if kind == _core.LAM:
+        """("con", tag, children) or ("lam", None, None) of a node in head
+        form, as the fueled calls return it."""
+        if node.kind == _core.LAM:
             return ("lam", None, None)
-        return ("pending", None, None)
+        return ("con", TAGS[node.tag], [node.k0, node.k1][: _core.ARITY_OF[node.tag]])
 
     # fueled evaluation; every method returns (result, fuel_left), with
     # None standing for Unresolved.  During a long run almost every
@@ -277,10 +272,9 @@ class Engine:
         r, _ = drive(node, fuel)
         if r is None:
             return UNRESOLVED_OBS
-        kind, tag, kids = _core.node_view(r)
-        if kind == _core.LAM:
+        kind, name, kids = self.view(r)
+        if kind == "lam":
             return LAM_OBS
-        name = TAGS[tag]
         if not kids:
             return OCon(name, ())
         if depth <= 0:
@@ -289,25 +283,6 @@ class Engine:
             name,
             tuple(self._observe(k, depth - 1, fuel, resolving) for k in kids),
         )
-
-    def stream_cell(self, t, k, fuel=UNLIMITED, depth=8) -> Obs:
-        """Observation of the k-th head of a Pair spine.
-
-        The spine is resolved with a fresh budget per tail; the head gets
-        its own budget, so unresolved earlier heads are never in the way.
-        A spine element that resolves to a non-Pair value raises
-        SpineFailure; an unresolved spine element yields Unresolved.
-        """
-        node = self._node(t)
-        for _ in range(k + 1):
-            r, _left = _core.resolve_node(node, fuel)
-            if r is None:
-                return UNRESOLVED_OBS
-            kind, tag, kids = _core.node_view(r)
-            if kind != _core.CON or tag != _core.PAIR:
-                raise SpineFailure(f"spine head is {TAGS[tag] if kind == _core.CON else 'a function'}")
-            head, node = kids
-        return self._observe(head, depth, fuel, True)
 
     def apply(self, fnode, anode):
         return _core.mk_app(fnode, anode)

@@ -33,7 +33,7 @@ def test_encode_sd_third():
 
 def test_encode_domain_error():
     code, _, err = run("encode", "2", "sd", "4")
-    assert code == 2 and "outside" in err
+    assert code == 2 and "2 outside [-1,1]" in err
 
 
 # convert
@@ -58,6 +58,11 @@ def test_convert_identity():
 def test_convert_stream_input():
     code, out, _ = run("convert", "sd", "gray", "--stream=1;0", "--digits", "4")
     assert code == 0 and out == "1 ? 1 -1"
+
+
+def test_convert_domain_error():
+    code, out, err = run("convert", "sd", "gray", "--value", "2")
+    assert code == 2 and out == "" and "2 outside [-1,1]" in err
 
 
 def test_convert_needs_input():

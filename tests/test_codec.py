@@ -18,8 +18,11 @@ from ambreal.codec import (
     sd_prefix_interval,
     tent,
     DomainError,
+    ShapeError,
 )
+from ambreal.engine import render_obs
 from ambreal.intervals import IntervalSet, hausdorff_sets, parse_interval_set
+from ambreal.terms import App, parse_term
 
 from .conftest import random_rational
 
@@ -208,9 +211,11 @@ def test_parse_stream():
         parse_stream("2;0", "sd")
 
 
-def test_inject_extract_sd_plain(engine):
+def test_inject_extract_sd_plain(prelude):
+    # a plain digit spine is read through sd_emb, which makes it a racing-cons stream
     for spec in (EPStream((), (0,)), EPStream((1,), (0,)), EPStream((), (1, -1))):
-        got = extract_sd(engine, inject_sd(spec), 6, 10**4, wrap="plain")
+        src = App(prelude.terms["sd_emb"], inject_sd(spec))
+        got = extract_sd(prelude.engine, src, 6, 10**4)
         assert got == spec.take(6)
 
 
@@ -224,17 +229,34 @@ def test_inject_gray_plain_bot_cell(engine):
     _, g0 = gray_encode(0, 0)
     t = inject_gray(g0, "plain")
     # cell 0 is literally bot; cells 1, 2 are readable
-    from ambreal.engine import OUnresolved, render_obs
-
-    assert isinstance(engine.stream_cell(t, 0, 10**4), OUnresolved)
-    assert render_obs(engine.stream_cell(t, 1, 10**4)) == "Right(Nil)"
-    assert render_obs(engine.stream_cell(t, 2, 10**4)) == "Left(Nil)"
+    assert render_obs(engine.observe(t, 4, 10**4)) == (
+        "Pair(<unresolved>, Pair(Right(Nil), Pair(Left(Nil), Pair(Left(...), Pair(...)))))"
+    )
 
 
 def test_inject_gray_star_bot_cell_unresolved(engine):
     _, g0 = gray_encode(0, 0)
     got = extract_gray(engine, inject_gray(g0, "star"), 3, 10**4)
     assert got == [None, 1, -1]
+
+
+def test_spine_ending_in_nil_is_a_shape_error(engine):
+    with pytest.raises(ShapeError):
+        extract_gray(engine, parse_term("Pair(Amb(Left(Right(Nil)), bot), Nil)"), 3, 10**4)
+    # the second racing cons collapses to Nil
+    t = parse_term("Amb(Left(Pair(Right(Nil), Amb(Left(Nil), bot))), bot)")
+    with pytest.raises(ShapeError):
+        extract_sd(engine, t, 3, 10**4)
+
+
+def test_gray_cell_in_digit_place_is_a_shape_error(engine):
+    with pytest.raises(ShapeError):
+        extract_sd(engine, parse_term("Amb(Left(Pair(Left(Nil), bot)), bot)"), 2, 10**4)
+
+
+def test_spine_ending_in_bot_pads_unresolved(engine):
+    got = extract_gray(engine, parse_term("Pair(Amb(Left(Left(Nil)), bot), bot)"), 3, 10**4)
+    assert got == [-1, None, None]
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,6 @@ from ambreal.compact import (
     OracleGray,
     TruncatedTree,
     grayk_to_sdk,
-    grayk_truncate,
     gray_lazy,
     hausdorff_trunc,
     restrict,
@@ -211,23 +210,23 @@ def test_hausdorff_trunc_ultrametric():
 # gray trees
 
 
-def test_grayk_truncate_full():
-    G = grayk_truncate(FULL, 3)
+def test_gray_lazy_full():
+    G = gray_lazy(FULL)
     assert G.min_code().take(2) == [-1, -1]
     assert G.max_code().take(2) == [1, -1]
     assert G.has_child(-1) and G.has_child(1)
     assert G.child(-1).set == FULL and G.child(1).set == FULL
 
 
-def test_grayk_truncate_third():
-    G = grayk_truncate(pt(Fraction(1, 3)), 3)
+def test_gray_lazy_third():
+    G = gray_lazy(pt(Fraction(1, 3)))
     assert G.min_code().take(3) == [1, 1, 1]
     assert not G.has_child(-1) and G.has_child(1)
     assert G.child(1).set == pt(Fraction(1, 3))
 
 
-def test_grayk_truncate_zero():
-    G = grayk_truncate(pt(0), 3)
+def test_gray_lazy_zero():
+    G = gray_lazy(pt(0))
     assert G.min_code().take(4) == [BOT_CELL, 1, -1, -1]
     assert G.has_child(-1) and G.has_child(1)
     assert G.child(1).set == pt(1)

@@ -10,7 +10,6 @@ from ambreal.engine import (
     OCon,
     OpenTerm,
     OUnresolved,
-    SpineFailure,
     det_step,
     render_obs,
     strict_apply,
@@ -160,29 +159,6 @@ def test_observe_depth_truncation(e):
 
 
 # ---------------------------------------------------------------------------
-# stream_cell
-
-
-def test_cell_past_unresolved_head(e):
-    sp = parse_term("Pair(bot, Pair(Left(Nil), bot))")
-    assert render_obs(e.stream_cell(sp, 1, 10**4)) == "Left(Nil)"
-
-
-def test_cell_zero(e):
-    assert render_obs(e.stream_cell(parse_term("Pair(Nil, bot)"), 0, 1000)) == "Nil"
-
-
-def test_cell_beyond_spine_is_unresolved(e):
-    sp = parse_term("Pair(Nil, Pair(Nil, bot))")
-    assert isinstance(e.stream_cell(sp, 2, 10**4), OUnresolved)
-
-
-def test_spine_failure_distinct(e):
-    with pytest.raises(SpineFailure):
-        e.stream_cell(parse_term("Pair(Nil, Left(Nil))"), 1, 1000)
-
-
-# ---------------------------------------------------------------------------
 # strict application
 
 
@@ -271,6 +247,26 @@ def test_fuel_monotone(t, fuel):
     r2 = e2.observe(t, 3, fuel * 4)
     if not isinstance(r1, OUnresolved):
         assert r1 == r2
+
+
+CONFORM_STEPS = 400
+
+
+@settings(max_examples=300, deadline=None)
+@given(closed_terms())
+def test_graph_machine_conforms_to_det_step(t):
+    # if det_step reaches a constructor or lambda head after k steps, the
+    # graph machine reaches the same head within k ticks (sharing can only
+    # save steps)
+    u, k = t, 0
+    while not isinstance(u, (Con, Lam)):
+        if k == CONFORM_STEPS:
+            return
+        u, k = det_step(u), k + 1
+    v, left = Engine().whnf(t, CONFORM_STEPS)
+    want = ("con", u.tag) if isinstance(u, Con) else ("lam", None)
+    assert v is not None and v[:2] == want
+    assert CONFORM_STEPS - left <= k
 
 
 def test_fairness_bound():
