@@ -21,6 +21,22 @@ the remaining fuel in one go, and a finite-iteration collapse that revisits
 an isomorphic machine state is cut off by canonical-form checkpoints.
 None of this changes results, only the cost of reporting Unresolved.
 
+Two choices keep the per-tick work small without moving a tick.  A
+child position whose code is a variable is linked straight to its
+binding instead of getting a suspension of its own (as the STG machine
+never builds a thunk for a variable argument): exposing such a fresh
+suspension could only make it an indirection to that binding, and heads
+look through indirections, so every step sees the same nodes.  A side
+effect is a smaller graph: a variable no longer keeps its whole
+environment reachable, so canonical forms can recur where they could
+not before.  And a case's clauses are compiled (dispatch) into a table
+indexed by the scrutinee's head: one slot per constructor tag, one for a
+lambda, one for a head that is not yet a value, each holding the
+clauses whose top pattern can match that head, in order.  A clause left
+out of a slot is one whose top pattern fails at once on that head, and
+matching costs no fuel, so the first match and its bindings are those of
+the plain first-match scan.
+
 Nodes have at most two children (constructor arity is bounded by 2 and
 application/case use the same slots), stored in direct fields.
 
@@ -31,7 +47,7 @@ exact fuel-left values in tests/test_engine.py.
 # node kinds / code opcodes (shared numbering where it helps)
 SUSP, CON, LAM, APP, CASE, REC, BOT, IND = range(8)
 # code tuples: (VAR_, idx) (CON_, tag, kids) (LAM_, body) (APP_, fn, arg)
-# (CASE_, scrut, clauses) (REC_, body) (BOT_,)
+# (CASE_, scrut, dispatch table) (REC_, body) (BOT_,)
 VAR_, CON_, LAM_, APP_, CASE_, REC_, BOT_ = range(7)
 # pattern opcodes: (PVAR,) (PFUN,) (PCON, tag, kids)
 PVAR, PFUN, PCON = range(3)
@@ -40,6 +56,9 @@ NIL, LEFT, RIGHT, PAIR, AMB = range(5)
 ARITY_OF = (0, 1, 1, 2, 2)
 
 OK, UNRESOLVED, MALFORMED = range(3)
+
+# case dispatch slots after the five constructor tags
+LAM_SLOT, PENDING_SLOT = 5, 6
 
 # reachable nodes beyond which canon_form gives up (no cut-off is tried)
 CANON_LIMIT = 20000
@@ -109,6 +128,18 @@ def follow(n):
     return n
 
 
+def _link(code, env):
+    """The node for a child position.  A variable is linked straight to
+    its binding; any other code is suspended in env."""
+    if code[0] == VAR_:
+        idx = code[1]
+        while idx:
+            env = env[1]
+            idx -= 1
+        return env[0]
+    return Node(SUSP, code=code, env=env)
+
+
 def _expose(n):
     """Unfold a suspension to its head form.  Costs no fuel."""
     code = n.code
@@ -119,26 +150,21 @@ def _expose(n):
         n.kind = CON
         n.tag = code[1]
         if kids:
-            n.k0 = Node(SUSP, code=kids[0], env=env)
+            n.k0 = _link(kids[0], env)
             if len(kids) > 1:
-                n.k1 = Node(SUSP, code=kids[1], env=env)
+                n.k1 = _link(kids[1], env)
         else:
             n.q = True
         n.code = None
         n.env = None
     elif op == APP_:
         n.kind = APP
-        n.k0 = Node(SUSP, code=code[1], env=env)
-        n.k1 = Node(SUSP, code=code[2], env=env)
+        n.k0 = _link(code[1], env)
+        n.k1 = _link(code[2], env)
         n.code = None
         n.env = None
     elif op == VAR_:
-        idx = code[1]
-        e = env
-        while idx:
-            e = e[1]
-            idx -= 1
-        target = e[0]
+        target = _link(code, env)
         n.env = None
         if follow(target) is n:
             n.kind = BOT
@@ -153,7 +179,7 @@ def _expose(n):
         n.q = True
     elif op == CASE_:
         n.kind = CASE
-        n.k0 = Node(SUSP, code=code[1], env=env)
+        n.k0 = _link(code[1], env)
         n.code = code[2]
     elif op == REC_:
         n.kind = REC
@@ -167,11 +193,39 @@ def _expose(n):
 
 def head(n):
     while True:
-        n = follow(n)
-        if n.kind == SUSP:
-            _expose(n)
-        else:
+        k = n.kind
+        if k == IND:
+            n = follow(n)
+            k = n.kind
+        if k != SUSP:
             return n
+        _expose(n)
+
+
+def dispatch(clauses):
+    """Compile a case's (pattern, body) clauses into its dispatch table.
+
+    Slot t (0-4) holds the clauses that can match a constructor head of
+    tag t, LAM_SLOT those that can match a lambda and PENDING_SLOT those
+    that can match a head that is not yet a value; each slot keeps first-
+    match order.  An entry is (subpatterns, body), with None in place of
+    the subpatterns for a variable or fun(_) pattern, which binds the head
+    itself.  One pass over the clauses.
+    """
+    slots = ([], [], [], [], [], [], [])
+    for pattern, body in clauses:
+        op = pattern[0]
+        if op == PVAR:
+            entry = (None, body)
+            for slot in slots:
+                slot.append(entry)
+        elif op == PFUN:
+            slots[LAM_SLOT].append((None, body))
+        else:
+            slots[pattern[1]].append((pattern[2], body))
+    # tuples, not lists: the collector stops tracking a tuple of untracked
+    # items, and the prelude alone holds 723 tables
+    return tuple(map(tuple, slots))
 
 
 def _match(nd, pat, binds):
@@ -196,10 +250,17 @@ def _match(nd, pat, binds):
     return True
 
 
-def try_match(m, clauses):
-    for pat, body in clauses:
+def try_match(m, table):
+    """The first clause of a dispatch table that matches m, a node in head
+    form: (bound nodes, body), or None."""
+    k = m.kind
+    for sub, body in table[m.tag if k == CON else LAM_SLOT if k == LAM else PENDING_SLOT]:
+        if sub is None:
+            return [m], body
         binds = []
-        if _match(m, pat, binds):
+        if not sub or (
+            _match(m.k0, sub[0], binds) and (len(sub) == 1 or _match(m.k1, sub[1], binds))
+        ):
             return binds, body
     return None
 
@@ -262,7 +323,7 @@ def _step(x):
         if k == REC:
             # rec M -> M (rec M); the recursive occurrence is shared with x
             x.gen = _tick
-            fn = Node(SUSP, code=x.code, env=x.env)
+            fn = _link(x.code, x.env)
             x.kind = APP
             x.k0 = fn
             x.k1 = x
@@ -322,7 +383,7 @@ def _step(x):
         # self-feeding spines
         if path is None:
             path = [x]
-        elif any(n is x for n in path):
+        elif x in path:
             for n in path:
                 n.q = True
             return False

@@ -8,6 +8,7 @@ cells (Gray bot) as "_"; rationals print as p/q.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from fractions import Fraction
 
@@ -218,6 +219,26 @@ def cmd_oracle(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+# "-" then a digit: a negative rational or a digit prefix, never an option
+_NEGATIVE = re.compile(r"-\.?\d")
+
+
+def _shield_negatives(argv) -> list:
+    """Keep argparse from reading "-1/3" or "-1,1" as an option.  Such a
+    token joins the option flag before it ("--value=-1/3"); any other one
+    ends option parsing ("--" before it), so it and what follows are
+    positionals."""
+    out = []
+    for tok in argv:
+        if "--" not in out and _NEGATIVE.match(tok):
+            if out and out[-1].startswith("--") and "=" not in out[-1]:
+                out[-1] += "=" + tok
+                continue
+            out.append("--")
+        out.append(tok)
+    return out
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ambreal", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -265,11 +286,8 @@ def main(argv=None) -> int:
     ap = build_parser()
     if argv is None:
         argv = sys.argv[1:]
-    # digit prefixes may start with "-": shield positionals of oracle
-    if argv and argv[0] == "oracle" and "--" not in argv:
-        argv = [argv[0], "--"] + argv[1:]
     try:
-        args = ap.parse_args(argv)
+        args = ap.parse_args(_shield_negatives(argv))
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

@@ -143,7 +143,7 @@ def compile_term(t: Term, scope=()):
                 raise EngineError("pattern binds more than 32 variables")
             inner = tuple(reversed(binders)) + tuple(scope)
             clauses.append((compile_pattern(c.pattern), compile_term(c.body, inner)))
-        return (_core.CASE_, compile_term(t.scrutinee, scope), tuple(clauses))
+        return (_core.CASE_, compile_term(t.scrutinee, scope), _core.dispatch(clauses))
     raise TypeError(t)
 
 
@@ -250,7 +250,8 @@ class Engine:
     def collapse_star(self, t, fuel=UNLIMITED):
         status, node, left = self._drive(_core.collapse_node, t, fuel)
         if status == _core.MALFORMED:
-            raise MalformedStar(f"iteration value resolved to {self.view(node)[1]}")
+            kind, tag, _ = self.view(node)
+            raise MalformedStar(f"iteration value resolved to {tag if kind == 'con' else 'a function'}")
         if status == _core.UNRESOLVED:
             return None, 0
         return self.view(node), left

@@ -65,6 +65,17 @@ def test_convert_domain_error():
     assert code == 2 and out == "" and "2 outside [-1,1]" in err
 
 
+def test_encode_negative_rational():
+    code, out, _ = run("encode", "-1/3", "sd", "4")
+    assert code == 0 and out.splitlines()[0] == "-1 1 -1 1"
+
+
+def test_convert_negative_value():
+    joined = run("convert", "sd", "gray", "--value=-1/3")
+    assert joined[0] == 0
+    assert run("convert", "sd", "gray", "--value", "-1/3") == joined
+
+
 def test_convert_needs_input():
     code, _, err = run("convert", "sd", "gray", "--digits", "4")
     assert code == 2

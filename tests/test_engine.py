@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from ambreal import _stepcore
 from ambreal.codec import inject_sd, sd_encode
 from ambreal.engine import (
+    TAGS,
     Engine,
     OCon,
     OpenTerm,
@@ -16,6 +17,7 @@ from ambreal.engine import (
 )
 from ambreal.prelude import Prelude
 from ambreal.terms import (
+    ARITY,
     BOT,
     NIL,
     App,
@@ -214,6 +216,22 @@ def test_collapse_malformed(e):
         e.collapse_star(parse_term("Amb(Nil, bot)"), 10**4)
 
 
+def test_collapse_malformed_function(e):
+    from ambreal.engine import MalformedStar
+
+    with pytest.raises(MalformedStar, match="resolved to a function"):
+        e.collapse_star(parse_term("Amb(fun x -> x, bot)"), 100)
+
+
+def test_collapse_cuts_off_recurring_state(e):
+    # each peel rebuilds the same three-node graph, so the canonical forms
+    # at two checkpoints agree and the divergence is reported early
+    t = parse_term("(rec (fun f -> fun x -> Amb(Right(f x), bot))) Nil")
+    start = _stepcore._tick
+    assert e.collapse_star(t, 10**5) == (None, 0)
+    assert _stepcore._tick - start < 100
+
+
 # ---------------------------------------------------------------------------
 # parallel-or through the engine
 
@@ -233,6 +251,72 @@ def test_por(e, arg, want):
 def test_por_bot_bot(e):
     o = e.observe(App(POR, con("Pair", BOT, BOT)), 2, 10**6)
     assert isinstance(o, OUnresolved)
+
+
+# ---------------------------------------------------------------------------
+# case dispatch against first-match order
+
+
+def _patterns(depth=2):
+    leaves = st.sampled_from([(_stepcore.PVAR,), (_stepcore.PFUN,)])
+    if depth == 0:
+        return leaves
+    sub = _patterns(depth - 1)
+    cons = st.integers(0, 4).flatmap(
+        lambda tag: st.tuples(*[sub] * _stepcore.ARITY_OF[tag]).map(
+            lambda kids: (_stepcore.PCON, tag, kids)
+        )
+    )
+    return leaves | cons
+
+
+def _scrutinees(depth=2):
+    leaves = st.sampled_from(
+        [parse_term("fun x -> x"), parse_term("(fun x -> x) Nil"), BOT, NIL]
+    )
+    if depth == 0:
+        return leaves
+    sub = _scrutinees(depth - 1)
+    cons = st.sampled_from(TAGS[1:]).flatmap(
+        lambda tag: st.tuples(*[sub] * ARITY[tag]).map(lambda kids: Con(tag, kids))
+    )
+    return leaves | cons
+
+
+def _first_match(m, clauses):
+    def match(nd, pat, binds):
+        if pat[0] == _stepcore.PVAR:
+            binds.append(nd)
+            return True
+        nd = _stepcore.head(nd)
+        if pat[0] == _stepcore.PFUN:
+            if nd.kind != _stepcore.LAM:
+                return False
+            binds.append(nd)
+            return True
+        if nd.kind != _stepcore.CON or nd.tag != pat[1]:
+            return False
+        return all(match(k, p, binds) for k, p in zip((nd.k0, nd.k1), pat[2]))
+
+    for pat, body in clauses:
+        binds = []
+        if match(m, pat, binds):
+            return binds, body
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_patterns(), min_size=1, max_size=6), _scrutinees())
+def test_dispatch_keeps_first_match_order(patterns, t):
+    clauses = tuple((p, ("body", i)) for i, p in enumerate(patterns))
+    m = _stepcore.head(Engine().load(t))
+    got = _stepcore.try_match(m, _stepcore.dispatch(clauses))
+    want = _first_match(m, clauses)
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and got[1] == want[1]
+        assert [id(n) for n in got[0]] == [id(n) for n in want[0]]
 
 
 # ---------------------------------------------------------------------------
