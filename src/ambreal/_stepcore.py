@@ -17,8 +17,7 @@ frozen as divergent.
 Divergence is detected eagerly where sound: a node whose step is the
 identity (bot, a stuck application, a frozen scrutinee matching no clause)
 is flagged quiescent, a fuel loop that observes a no-progress tick drains
-the remaining fuel in one go, and a finite-iteration collapse that revisits
-an isomorphic machine state is cut off by canonical-form checkpoints.
+the remaining fuel in one go, and a cycle of indirections becomes bot.
 None of this changes results, only the cost of reporting Unresolved.
 
 Two choices keep the per-tick work small without moving a tick.  A
@@ -26,16 +25,14 @@ child position whose code is a variable is linked straight to its
 binding instead of getting a suspension of its own (as the STG machine
 never builds a thunk for a variable argument): exposing such a fresh
 suspension could only make it an indirection to that binding, and heads
-look through indirections, so every step sees the same nodes.  A side
-effect is a smaller graph: a variable no longer keeps its whole
-environment reachable, so canonical forms can recur where they could
-not before.  And a case's clauses are compiled (dispatch) into a table
-indexed by the scrutinee's head: one slot per constructor tag, one for a
-lambda, one for a head that is not yet a value, each holding the
-clauses whose top pattern can match that head, in order.  A clause left
-out of a slot is one whose top pattern fails at once on that head, and
-matching costs no fuel, so the first match and its bindings are those of
-the plain first-match scan.
+look through indirections, so every step sees the same nodes.  And a
+case's clauses are compiled (dispatch) into a table indexed by the
+scrutinee's head: one slot per constructor tag, one for a lambda, one
+for a head that is not yet a value, each holding the clauses whose top
+pattern can match that head, in order.  A clause left out of a slot is
+one whose top pattern fails at once on that head, and matching costs no
+fuel, so the first match and its bindings are those of the plain
+first-match scan.
 
 Nodes have at most two children (constructor arity is bounded by 2 and
 application/case use the same slots), stored in direct fields.
@@ -59,9 +56,6 @@ OK, UNRESOLVED, MALFORMED = range(3)
 
 # case dispatch slots after the five constructor tags
 LAM_SLOT, PENDING_SLOT = 5, 6
-
-# reachable nodes beyond which canon_form gives up (no cut-off is tried)
-CANON_LIMIT = 20000
 
 _tick = 0
 
@@ -443,79 +437,19 @@ def resolve_node(x, fuel):
         x = won
 
 
-def canon_form(root):
-    """Canonical form of the rooted graph: equal forms are isomorphic.
-
-    Node indexes follow a deterministic preorder, indirections are
-    transparent, and generation scratch is excluded.  Returns None when
-    the reachable graph exceeds CANON_LIMIT nodes.
-    """
-    idx = {}
-    order = []
-    stack = [root]
-    while stack:
-        n = follow(stack.pop())
-        if id(n) in idx:
-            continue
-        if len(order) >= CANON_LIMIT:
-            return None
-        idx[id(n)] = len(order)
-        order.append(n)
-        refs = []
-        if n.k0 is not None:
-            refs.append(n.k0)
-        if n.k1 is not None:
-            refs.append(n.k1)
-        e = n.env
-        while e is not None:
-            refs.append(e[0])
-            e = e[1]
-        for r in reversed(refs):
-            stack.append(r)
-    parts = []
-    for n in order:
-        k0 = None if n.k0 is None else idx[id(follow(n.k0))]
-        k1 = None if n.k1 is None else idx[id(follow(n.k1))]
-        env_ix = []
-        e = n.env
-        while e is not None:
-            env_ix.append(idx[id(follow(e[0]))])
-            e = e[1]
-        # code by identity: nodes at one position of one compiled term
-        # share its code tuple; equal code from separate loads compares
-        # unequal, which can only delay a cut-off
-        parts.append((n.kind, n.tag, n.q, id(n.code), k0, k1, tuple(env_ix)))
-    return tuple(parts)
-
-
 def collapse_node(x, fuel):
     """Resolve a finite-iteration value: peel Right(..), return whnf of the
-    Left payload.  Returns (status, node or None, fuel left).
-
-    A divergent iteration that cycles through isomorphic machine states is
-    detected by comparing canonical forms at exponentially spaced peel
-    counts, and drains the remaining fuel at the detection point.
-    """
-    peels = 0
-    next_check = 8
-    mark = None
+    Left payload.  Returns (status, node or None, fuel left)."""
     while True:
         r, fuel = resolve_node(x, fuel)
         if r is None:
             return UNRESOLVED, None, 0
-        if r.kind == CON and r.tag == LEFT:
+        if r.kind == CON and r.tag == RIGHT:
+            x = r.k0
+        elif r.kind == CON and r.tag == LEFT:
             v, fuel = whnf_node(r.k0, fuel)
             if v is None:
                 return UNRESOLVED, None, 0
             return OK, v, fuel
-        if r.kind == CON and r.tag == RIGHT:
-            x = r.k0
-            peels += 1
-            if peels == next_check:
-                form = canon_form(x)
-                if form is not None and form == mark:
-                    return UNRESOLVED, None, 0  # state recurs: divergent
-                mark = form
-                next_check *= 2
-            continue
-        return MALFORMED, r, fuel
+        else:
+            return MALFORMED, r, fuel

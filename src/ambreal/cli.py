@@ -239,6 +239,17 @@ def _shield_negatives(argv) -> list:
     return out
 
 
+def _count(text) -> int:
+    """The argparse type of every count (digits, fuel, depth): an int >= 0."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid count {text!r}") from None
+    if n < 0:
+        raise argparse.ArgumentTypeError(f"count must be >= 0, got {n}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="ambreal", description=__doc__)
     sub = ap.add_subparsers(dest="cmd", required=True)
@@ -246,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("encode", help="canonical digits and exact hull of a rational")
     p.add_argument("value")
     p.add_argument("rep", choices=("sd", "gray"))
-    p.add_argument("digits", nargs="?", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("digits", nargs="?", type=_count, default=DEFAULT_DEPTH)
     p.set_defaults(fn=cmd_encode)
 
     p = sub.add_parser("convert", help="engine-driven stream conversion")
@@ -254,24 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("target", choices=("sd", "gray"))
     p.add_argument("--value")
     p.add_argument("--stream")
-    p.add_argument("--digits", type=int, default=DEFAULT_DEPTH)
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--digits", type=_count, default=DEFAULT_DEPTH)
+    p.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
     p.set_defaults(fn=cmd_convert)
 
     p = sub.add_parser("eval", help="evaluate main of a .cfp file")
     p.add_argument("file")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
-    p.add_argument("--depth", type=int, default=DEFAULT_DEPTH)
+    p.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
+    p.add_argument("--depth", type=_count, default=DEFAULT_DEPTH)
     p.add_argument("--policy", choices=("raw", "resolving"), default="resolving")
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("tree", help="compact-set tree operations")
     p.add_argument("set")
     p.add_argument("rep", choices=("sdk", "grayk"))
-    p.add_argument("depth", type=int)
+    p.add_argument("depth", type=_count)
     p.add_argument("action", choices=("encode", "convert", "value", "dist"))
     p.add_argument("--other")
-    p.add_argument("--fuel", type=int, default=DEFAULT_FUEL)
+    p.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("oracle", help="exact interval set of a digit prefix")

@@ -224,13 +224,13 @@ class Engine:
         return ("con", TAGS[node.tag], [node.k0, node.k1][: _core.ARITY_OF[node.tag]])
 
     # fueled evaluation; every method returns (result, fuel_left), with
-    # None standing for Unresolved.  During a long run almost every
-    # allocated node stays reachable, so cyclic-gc passes are pure cost;
-    # they are paused for the duration of the call.
+    # None standing for Unresolved.  Almost every node allocated during a
+    # run stays reachable, so cyclic-gc passes are pure cost: every fueled
+    # call pauses the collector for its duration, whatever its fuel.
 
     def _drive(self, drive, t, fuel):
         node = self._node(t)
-        paused = fuel >= 50000 and gc.isenabled()
+        paused = gc.isenabled()
         if paused:
             gc.disable()
         try:

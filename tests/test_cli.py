@@ -181,3 +181,21 @@ def test_usage_error_exit_two():
 def test_oracle_rejects_bad_digits(prefix, rep, message):
     code, out, err = run("oracle", prefix, rep)
     assert code == 2 and out == "" and message in err
+
+
+@pytest.mark.parametrize(
+    "argv, name",
+    [
+        (("encode", "1/3", "sd", "-4"), "argument digits"),
+        (("convert", "sd", "gray", "--value", "1/3", "--digits", "-4"), "argument --digits"),
+        (("convert", "sd", "gray", "--value", "1/3", "--fuel", "-5"), "argument --fuel"),
+        (("eval", "main.cfp", "--depth", "-1"), "argument --depth"),
+        (("eval", "main.cfp", "--fuel", "-1"), "argument --fuel"),
+        (("tree", "[0,1/2]", "sdk", "-2", "encode"), "argument depth"),
+        (("tree", "[0,1/2]", "sdk", "-2", "value"), "argument depth"),
+        (("tree", "[0,1/2]", "grayk", "-2", "convert"), "argument depth"),
+    ],
+)
+def test_negative_count_is_a_usage_error(argv, name):
+    code, out, err = run(*argv)
+    assert code == 2 and out == "" and f"{name}: count must be >= 0" in err

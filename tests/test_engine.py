@@ -1,7 +1,8 @@
+import gc
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ambreal import _stepcore
 from ambreal.codec import inject_sd, sd_encode
@@ -223,13 +224,36 @@ def test_collapse_malformed_function(e):
         e.collapse_star(parse_term("Amb(fun x -> x, bot)"), 100)
 
 
-def test_collapse_cuts_off_recurring_state(e):
-    # each peel rebuilds the same three-node graph, so the canonical forms
-    # at two checkpoints agree and the divergence is reported early
+def test_collapse_recurring_state_unresolved(e):
     t = parse_term("(rec (fun f -> fun x -> Amb(Right(f x), bot))) Nil")
+    assert e.collapse_star(t, 10**4) == (None, 0)
+
+
+@pytest.mark.parametrize("method", ["resolve_amb", "collapse_star"])
+def test_indirection_cycle_cut_off(e, method):
+    # committing the Amb to its left arm, the stream itself, closes a cycle
+    # of indirections, which follow turns into bot
+    t = parse_term("rec (fun s -> Amb(s, bot))")
     start = _stepcore._tick
-    assert e.collapse_star(t, 10**5) == (None, 0)
-    assert _stepcore._tick - start < 100
+    assert getattr(e, method)(t, 10**4) == (None, 0)
+    assert _stepcore._tick - start <= 10
+
+
+@pytest.mark.parametrize("fuel", [100, 10**5])
+@pytest.mark.parametrize("method", ["whnf", "resolve_amb", "collapse_star"])
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fueled_call_restores_collector(e, method, fuel, enabled):
+    t = parse_term("Amb(bot, Left(Nil))")
+    was = gc.isenabled()
+    try:
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        getattr(e, method)(t, fuel)
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
 
 
 # ---------------------------------------------------------------------------
@@ -335,19 +359,33 @@ def test_fuel_monotone(t, fuel):
 
 CONFORM_STEPS = 400
 
+# det_step reaches Nil after 804 steps, so the engine spends all its fuel
+# on it; a cut-off that fired on it would be unsound.  closed_terms() draws
+# terms that reach a head within a few steps or never.
+SLOW_HEAD = parse_term(
+    "(rec (fun f -> fun n -> case n of { Right(m) -> f m; Nil -> Nil })) "
+    + "Right(" * 200 + "Nil" + ")" * 200
+)
+
 
 @settings(max_examples=300, deadline=None)
 @given(closed_terms())
+@example(SLOW_HEAD)
 def test_graph_machine_conforms_to_det_step(t):
     # if det_step reaches a constructor or lambda head after k steps, the
     # graph machine reaches the same head within k ticks (sharing can only
-    # save steps)
+    # save steps).  An Unresolved before the fuel is spent is a divergence
+    # cut-off (a quiescent drain or a frozen spine): det_step must then
+    # reach no head within ten times the budget.
+    start = _stepcore._tick
+    v, left = Engine().whnf(t, CONFORM_STEPS)
+    cut_off = v is None and _stepcore._tick - start < CONFORM_STEPS
+    limit = 10 * CONFORM_STEPS if cut_off else CONFORM_STEPS
     u, k = t, 0
     while not isinstance(u, (Con, Lam)):
-        if k == CONFORM_STEPS:
+        if k == limit:
             return
         u, k = det_step(u), k + 1
-    v, left = Engine().whnf(t, CONFORM_STEPS)
     want = ("con", u.tag) if isinstance(u, Con) else ("lam", None)
     assert v is not None and v[:2] == want
     assert CONFORM_STEPS - left <= k
