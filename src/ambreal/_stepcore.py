@@ -74,16 +74,6 @@ class Node:
         self.gen = 0
 
 
-def _arity(n):
-    if n.kind == CON:
-        return ARITY_OF[n.tag]
-    if n.kind == APP:
-        return 2
-    if n.kind == CASE:
-        return 1
-    return 0
-
-
 def mk_node(code):
     return Node(SUSP, code=code)
 
@@ -260,7 +250,8 @@ def try_match(m, table):
 
 
 def _broadcast(c):
-    """One simultaneous step of every non-quiescent child under c.
+    """One simultaneous step of every non-quiescent child under c, a
+    constructor node.
 
     Shared children (including cyclic occurrences) advance once per tick:
     the generation stamp set by _step skips them on a second visit.
@@ -278,7 +269,7 @@ def _broadcast(c):
                 prog = True
             if not follow(ch).q:
                 allq = False
-    if _arity(c) > 1:
+    if ARITY_OF[c.tag] > 1:
         ch = head(c.k1)
         c.k1 = ch
         if not ch.q:
@@ -297,7 +288,12 @@ def _broadcast(c):
 
 def _step(x):
     """One step at x.  Returns False iff x is frozen: nothing changed and
-    nothing ever will."""
+    nothing ever will.
+
+    Every caller skips quiescent nodes, and lambda and bot nodes are
+    quiescent from birth, so x and each node of the congruence spine below
+    it is a constructor, rec, application or case; the final return
+    covers any other kind."""
     x = head(x)
     path = None
     while True:
@@ -312,8 +308,6 @@ def _step(x):
                 return False
             x.gen = _tick
             return _broadcast(x)
-        if k == LAM or k == BOT:
-            return False
         if k == REC:
             # rec M -> M (rec M); the recursive occurrence is shared with x
             x.gen = _tick
@@ -371,8 +365,7 @@ def _step(x):
                 return False
             f = m
         else:
-            x = head(x)
-            continue
+            return False
         # descend the congruence spine (fn / scrutinee positions), freezing
         # self-feeding spines
         if path is None:

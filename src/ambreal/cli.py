@@ -31,7 +31,6 @@ from .compact import (
     hausdorff_trunc,
     sd_tree,
     sdk_to_grayk,
-    sdk_truncate,
     tree_value_set,
 )
 from .engine import OUnresolved, render_obs
@@ -152,14 +151,29 @@ def _dump_sd(tree, depth) -> str:
     return f"(E={ds} {kids})" if kids else f"(E={ds})"
 
 
-def _dump_gray(node, depth, cells) -> str:
-    mins = " ".join(_digit_str(node.cell_min(i) if node.cell_min(i) is not None else BOT_CELL, "gray") for i in range(cells))
-    maxs = " ".join(_digit_str(node.cell_max(i) if node.cell_max(i) is not None else BOT_CELL, "gray") for i in range(cells))
-    parts = [f"min={mins}", f"max={maxs}"]
+def _dump_gray(node, exact, depth, cells, missed) -> str:
+    """A Gray tree to depth, with the first cells cells of each code.
+    exact is gray_lazy of the same set, walked alongside: an Unresolved
+    cell prints "_" where the exact cell is bot and "?" where it is
+    defined, and each "?" is appended to the list missed."""
+
+    def code(cell, exact_cell):
+        out = []
+        for i in range(cells):
+            c = cell(i)
+            if c is None and exact_cell(i) is None:
+                c = BOT_CELL
+            elif c is None:
+                missed.append(i)
+            out.append(_digit_str(c, "gray"))
+        return " ".join(out)
+
+    parts = [f"min={code(node.cell_min, exact.cell_min)}", f"max={code(node.cell_max, exact.cell_max)}"]
     if depth > 0:
         for d, name in ((-1, "L"), (1, "R")):
             if node.has_child(d):
-                parts.append(f"({name} {_dump_gray(node.child(d), depth - 1, cells)})")
+                kid = _dump_gray(node.child(d), exact.child(d), depth - 1, cells, missed)
+                parts.append(f"({name} {kid})")
     return "(" + " ".join(parts) + ")"
 
 
@@ -170,28 +184,27 @@ def cmd_tree(args) -> int:
     depth = args.depth
     action = args.action
 
+    # every reader below stops at depth; the trees themselves are lazy
     if action == "value":
-        if args.rep == "sdk":
-            T = sdk_truncate(K, depth)
-        else:
-            T = gray_lazy(K)
+        T = sd_tree(K) if args.rep == "sdk" else gray_lazy(K)
         print(_fmt_set(tree_value_set(T, depth)))
         return 0
 
     if action == "encode":
         if args.rep == "sdk":
-            print(_dump_sd(sdk_truncate(K, depth), depth))
+            print(_dump_sd(sd_tree(K), depth))
         else:
-            print(_dump_gray(gray_lazy(K), depth, depth + 1))
+            G = gray_lazy(K)
+            print(_dump_gray(G, G, depth, depth + 1, []))
         return 0
 
     if action == "convert":
         if args.rep == "sdk":
+            missed = []
             out = sdk_to_grayk(sd_tree(K), load_prelude(), fuel=args.fuel)
-            print(_dump_gray(out, depth, depth + 1))
-        else:
-            out = grayk_to_sdk(gray_lazy(K), depth)
-            print(_dump_sd(out, depth))
+            print(_dump_gray(out, gray_lazy(K), depth, depth + 1, missed))
+            return 1 if missed else 0
+        print(_dump_sd(grayk_to_sdk(gray_lazy(K), depth), depth))
         return 0
 
     if action == "dist":
@@ -202,7 +215,7 @@ def cmd_tree(args) -> int:
         other = parse_interval_set(args.other)
         if not other:
             raise CliError("empty set")
-        d = hausdorff_trunc(sdk_truncate(K, depth), sdk_truncate(other, depth), depth)
+        d = hausdorff_trunc(sd_tree(K), sd_tree(other), depth)
         print(d)
         return 0
 

@@ -200,18 +200,6 @@ def gray_prefix_set(cells: Sequence[int]) -> IntervalSet:
     return IntervalSet(sets)
 
 
-def approx(w: Sequence[int], rep: str) -> tuple:
-    """Midpoint and radius of the smallest interval hull of a prefix set."""
-    if rep == "sd":
-        s = sd_prefix_interval(w)
-    elif rep == "gray":
-        s = gray_prefix_set(w)
-    else:
-        raise ValueError(rep)
-    lo, hi = s.hull()
-    return ((lo + hi) / 2, (hi - lo) / 2)
-
-
 # ---------------------------------------------------------------------------
 # term encodings of digits and streams
 
@@ -247,20 +235,24 @@ def inject_sd(stream: EPStream) -> Term:
     return _cyclic_stream(pre, per)
 
 
-def gray_cell_term(c: int, wrap: str) -> Term:
-    if wrap == "plain":
-        return BOT if c == BOT_CELL else GRAY_TERMS[c]
-    if wrap == "star":
-        if c == BOT_CELL:
-            return Con("Amb", (BOT, BOT))
-        return Con("Amb", (Con("Left", (GRAY_TERMS[c],)), BOT))
-    raise ValueError(wrap)
+# Gray cells as stream heads: "plain" is the cell itself or bot, "star" the
+# finite iteration Amb(Left(cell), bot), with Amb(bot, bot) for the bot cell.
+# One term object per cell, so a stream shares its cells' terms and
+# Engine.load compiles each once.
+GRAY_CELL_TERMS = {
+    "plain": {**GRAY_TERMS, BOT_CELL: BOT},
+    "star": {
+        **{c: Con("Amb", (Con("Left", (t,)), BOT)) for c, t in GRAY_TERMS.items()},
+        BOT_CELL: Con("Amb", (BOT, BOT)),
+    },
+}
 
 
 def inject_gray(stream: EPStream, wrap: str = "star") -> Term:
-    pre = [gray_cell_term(c, wrap) for c in stream.pre]
-    per = [gray_cell_term(c, wrap) for c in stream.period]
-    return _cyclic_stream(pre, per)
+    if wrap not in GRAY_CELL_TERMS:
+        raise ValueError(wrap)
+    cells = GRAY_CELL_TERMS[wrap]
+    return _cyclic_stream([cells[c] for c in stream.pre], [cells[c] for c in stream.period])
 
 
 # ---------------------------------------------------------------------------

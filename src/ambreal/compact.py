@@ -9,7 +9,12 @@ exactly when the restriction is nonempty.
 Trees built from interval sets are lazy and memoized by exact set value,
 so rational inputs produce cyclic graphs; streams read off such trees are
 eventually periodic and can be fed to the engine.  Syntactic transforms
-(negate, tent-child) preserve the cycles through per-node caches.
+(negate, tent-child) preserve the cycles through per-node caches.  No
+tree is ever copied to a depth: every reader (tree_value_set,
+hausdorff_trunc, the CLI's dumps) takes the depth it reads to, so its
+cost follows the distinct nodes it meets, not the 3^n paths below the
+root.  The only finite trees are grayk_to_sdk's depth-n outputs, whose
+leaves raise TruncatedTree when asked for a child.
 
 The two conversions:
 
@@ -30,7 +35,6 @@ Outputs are compared to oracles by value sets, never by tree equality.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from .codec import (
     BOT_CELL,
@@ -54,7 +58,7 @@ II = {
 
 
 class TruncatedTree(Exception):
-    """A child below the truncation depth was requested."""
+    """A child below the depth of a grayk_to_sdk output was requested."""
 
 
 class UnresolvedNode(Exception):
@@ -88,6 +92,9 @@ class SDTree:
         self._neg = None
         self._tent = {}
 
+    def has_child(self, d) -> bool:
+        return d in self.digits
+
     def child(self, d) -> "SDTree":
         if d not in self.digits:
             raise KeyError(f"no child for digit {d}")
@@ -102,10 +109,10 @@ class SDTree:
         return f"<SDTree E={{{ds}}}>"
 
 
-def sd_tree(K: IntervalSet, _memo=None) -> SDTree:
+def sd_tree(K: IntervalSet) -> SDTree:
     """The lazy canonical tree of K: E is maximal, children are exact."""
     _check_nonempty(K)
-    memo = {} if _memo is None else _memo
+    memo = {}
 
     def build(S: IntervalSet) -> SDTree:
         node = memo.get(S)
@@ -117,18 +124,6 @@ def sd_tree(K: IntervalSet, _memo=None) -> SDTree:
         return node
 
     return build(K)
-
-
-def sdk_truncate(K: IntervalSet, n: int) -> SDTree:
-    """Eager truncation of sd_tree(K): n levels of children, leaves keep
-    their digit set."""
-
-    def cut(T, depth):
-        if depth == 0:
-            return SDTree(T.digits, kids={})
-        return SDTree(T.digits, kids={d: cut(T.child(d), depth - 1) for d in T.digits})
-
-    return cut(sd_tree(K), n)
 
 
 def sdk_negate(T: SDTree) -> SDTree:
@@ -211,74 +206,60 @@ G_CODED = {-1: (HALF, Fraction(-1, 2)), 1: (-HALF, HALF)}
 
 
 def tree_value_set(T, n: int) -> IntervalSet:
-    """Union over depth-n paths of the digit-map images of [-1,1].
+    """Union over depth-n paths of the digit-map images of [-1,1], for a
+    signed-digit or a Gray tree.
 
     Memoized per (node, depth): cyclic trees of rational sets have few
     distinct nodes, so this is linear in nodes x depth rather than 3^n.
     """
+    maps = AV_CODED if isinstance(T, SDTree) else G_CODED
     memo = {}
-    if isinstance(T, SDTree):
-        return _sd_value(T, n, memo)
-    return _gray_value(T, n, memo)
 
+    def value(node, k) -> IntervalSet:
+        if k == 0:
+            return IntervalSet.full()
+        out = memo.get((node, k))
+        if out is None:
+            out = IntervalSet([])
+            for d, (a, b) in maps.items():
+                if node.has_child(d):
+                    out = out.union(value(node.child(d), k - 1).affine(a, b))
+            memo[node, k] = out
+        return out
 
-def _sd_value(T: SDTree, n: int, memo) -> IntervalSet:
-    if n == 0:
-        return IntervalSet.full()
-    key = (id(T), n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = IntervalSet([])
-    for d in T.digits:
-        a, b = AV_CODED[d]
-        out = out.union(_sd_value(T.child(d), n - 1, memo).affine(a, b))
-    memo[key] = out
-    return out
-
-
-def _gray_value(G, n: int, memo) -> IntervalSet:
-    if n == 0:
-        return IntervalSet.full()
-    key = (id(G), n)
-    hit = memo.get(key)
-    if hit is not None:
-        return hit
-    out = IntervalSet([])
-    for d in (-1, 1):
-        if G.has_child(d):
-            a, b = G_CODED[d]
-            out = out.union(_gray_value(G.child(d), n - 1, memo).affine(a, b))
-    memo[key] = out
-    return out
+    return value(T, n)
 
 
 def hausdorff_trunc(S: SDTree, T: SDTree, max_depth: int) -> Fraction:
-    """2^-n for the least n <= max_depth at which the truncations differ,
-    0 when none does.  Coinductive: a revisited node pair is assumed equal,
-    which is exact for the cyclic trees built here."""
-    n = _first_diff(S, T, max_depth, set())
-    return Fraction(0) if n is None else Fraction(1, 2**n)
+    """2^-n for the least n <= max_depth at which the depth-n truncations
+    differ (the roots' digit sets are always compared), 0 when none does.
 
-
-def _first_diff(S, T, depth, assumed) -> Optional[int]:
-    if S.digits != T.digits:
-        return 1
-    if depth <= 1:
-        return None
-    key = (id(S), id(T))
-    if key in assumed:
-        return None
-    assumed.add(key)
-    best = None
-    for d in S.digits:
-        try:
-            sub = _first_diff(S.child(d), T.child(d), depth - 1, assumed)
-        except TruncatedTree:
-            sub = None
-        if sub is not None and (best is None or sub < best):
-            best = sub
-    return None if best is None else best + 1
+    Breadth first over node pairs, level by level: a pair met again lies
+    no higher than at its first visit, so below it lies no difference
+    nearer the root than below that visit, and it is skipped.  Cyclic
+    trees thus cost their distinct node pairs, whatever the depth.
+    """
+    level = [(S, T)]
+    seen = {(S, T)}
+    n = 1
+    while level:
+        if any(a.digits != b.digits for a, b in level):
+            return Fraction(1, 2**n)
+        if n >= max_depth:
+            break
+        nxt = []
+        for a, b in level:
+            for d in a.digits:
+                try:
+                    pair = (a.child(d), b.child(d))
+                except TruncatedTree:
+                    continue
+                if pair not in seen:
+                    seen.add(pair)
+                    nxt.append(pair)
+        level = nxt
+        n += 1
+    return Fraction(0)
 
 
 # ---------------------------------------------------------------------------
@@ -303,12 +284,6 @@ class OracleGray:
         self._max = gray_encode(K.max(), 0)[1]
         self._kids = {}
         self._memo = {} if _memo is None else _memo
-
-    def min_code(self) -> EPStream:
-        return self._min
-
-    def max_code(self) -> EPStream:
-        return self._max
 
     def cell_min(self, i):
         c = self._min[i]

@@ -117,15 +117,23 @@ def compile_term(t: Term, scope=()):
             raise OpenTerm(f"unbound variable {t.name}") from None
     if isinstance(t, Con):
         # a right-nested chain (a stream spine) compiles in one loop, so
-        # its length does not set the stack depth
+        # its length does not set the stack depth.  Its head terms all sit
+        # in this scope, so each distinct term object compiles once: the
+        # code tuple is only a template, every cell still gets its own node
         spine = []
         while isinstance(t, Con) and t.args:
             spine.append(t)
             t = t.args[-1]
         code = (_core.CON_, TAGNUM[t.tag], ()) if isinstance(t, Con) else compile_term(t, scope)
+        compiled = {}
         for c in reversed(spine):
-            heads = tuple(compile_term(a, scope) for a in c.args[:-1])
-            code = (_core.CON_, TAGNUM[c.tag], heads + (code,))
+            heads = []
+            for a in c.args[:-1]:
+                hit = compiled.get(id(a))
+                if hit is None:
+                    hit = compiled[id(a)] = compile_term(a, scope)
+                heads.append(hit)
+            code = (_core.CON_, TAGNUM[c.tag], (*heads, code))
         return code
     if isinstance(t, Lam):
         return (_core.LAM_, compile_term(t.body, (t.var,) + tuple(scope)))
@@ -265,25 +273,21 @@ class Engine:
         """
         if policy not in ("raw", "resolving"):
             raise ValueError(policy)
-        node = self._node(t)
-        return self._observe(node, depth, fuel_per_node, policy == "resolving")
+        drive = self.resolve_amb if policy == "resolving" else self.whnf
+        return self._observe(drive, self._node(t), depth, fuel_per_node)
 
-    def _observe(self, node, depth, fuel, resolving) -> Obs:
-        drive = _core.resolve_node if resolving else _core.whnf_node
-        r, _ = drive(node, fuel)
-        if r is None:
+    def _observe(self, drive, node, depth, fuel) -> Obs:
+        view, _left = drive(node, fuel)
+        if view is None:
             return UNRESOLVED_OBS
-        kind, name, kids = self.view(r)
+        kind, name, kids = view
         if kind == "lam":
             return LAM_OBS
         if not kids:
             return OCon(name, ())
         if depth <= 0:
             return OCon(name, None)
-        return OCon(
-            name,
-            tuple(self._observe(k, depth - 1, fuel, resolving) for k in kids),
-        )
+        return OCon(name, tuple(self._observe(drive, k, depth - 1, fuel) for k in kids))
 
     def apply(self, fnode, anode):
         return _core.mk_app(fnode, anode)

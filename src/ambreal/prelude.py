@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from .engine import Engine, Obs, UNLIMITED
+from .engine import Engine
 from .terms import Case, Term, parse_defs
 
 # not called here: perfbench/spans.py wraps prelude.check_compatibility by
@@ -64,14 +64,6 @@ class Prelude:
         if name not in self._nodes:
             self._nodes[name] = self.engine.load(self.get(name))
         return self._nodes[name]
-
-    def run(self, name, args, fuel=UNLIMITED, depth=8, policy="resolving") -> Obs:
-        """Observe the application of a prelude program to argument terms."""
-        e = self.engine
-        node = self.node(name)
-        for a in args:
-            node = e.apply(node, e.load(a) if isinstance(a, Term) else a)
-        return e.observe(node, depth, fuel, policy)
 
 
 def prelude_source() -> str:

@@ -17,6 +17,15 @@ def engine(prelude) -> Engine:
     return prelude.engine
 
 
+def observe_app(prelude, name, args, fuel, depth=8, policy="resolving"):
+    """Observe a prelude program applied to argument terms."""
+    e = prelude.engine
+    node = prelude.node(name)
+    for a in args:
+        node = e.apply(node, e.load(a))
+    return e.observe(node, depth, fuel, policy)
+
+
 def random_rational(rng: random.Random, max_den=2**20) -> Fraction:
     den = rng.randint(1, max_den)
     num = rng.randint(-den, den)

@@ -31,7 +31,6 @@ from ambreal.compact import (
     hausdorff_trunc,
     sd_tree,
     sdk_to_grayk,
-    sdk_truncate,
     tree_value_set,
 )
 from ambreal.engine import Engine, OUnresolved, det_step, render_obs
@@ -53,7 +52,7 @@ from ambreal.terms import (
     parse_term,
 )
 
-from .conftest import random_compact, random_dyadic, random_rational
+from .conftest import observe_app, random_compact, random_dyadic, random_rational
 
 
 def criterion(n, label):
@@ -100,9 +99,9 @@ def test_c1_parallel_or(prelude):
         (con("Pair", TRUE, BOT), "Left(Nil)"),
         (con("Pair", BOT, TRUE), "Left(Nil)"),
     ):
-        o = prelude.run("por", [arg], fuel=10**4, depth=2)
+        o = observe_app(prelude, "por", [arg], fuel=10**4, depth=2)
         assert render_obs(o) == want
-    o = prelude.run("por", [con("Pair", BOT, BOT)], fuel=10**6, depth=2)
+    o = observe_app(prelude, "por", [con("Pair", BOT, BOT)], fuel=10**6, depth=2)
     assert isinstance(o, OUnresolved)
 
 
@@ -305,7 +304,7 @@ def test_c9_trees():
         K = random_compact(rng)
         V = tree_value_set(sd_tree(K), n)
         assert hausdorff_sets(V, K) <= Fraction(1, 2**11)
-    Z, O = sdk_truncate(IntervalSet.point(0), n), sdk_truncate(IntervalSet.point(1), n)
+    Z, O = sd_tree(IntervalSet.point(0)), sd_tree(IntervalSet.point(1))
     assert hausdorff_trunc(Z, Z, n) == 0
     assert hausdorff_trunc(Z, O, n) == Fraction(1, 2)
     return "100 sets at depth 12 within 2^-11; tree metric checks"

@@ -1,5 +1,9 @@
 import io
 import contextlib
+import os
+import re
+import subprocess
+import sys
 
 import pytest
 
@@ -139,6 +143,43 @@ def test_tree_dist():
 def test_tree_convert_sdk():
     code, out, _ = run("tree", "[1/3,1/3]", "sdk", "2", "convert")
     assert code == 0 and out.startswith("(min=1 1 1")
+
+
+def test_tree_convert_sdk_unresolved_cells():
+    # at fuel 10 no engine cell resolves: every cell the exact tree defines
+    # prints "?" (exit 1), every bot cell "_", as in the grayk encoding
+    code, out, _ = run("tree", "[1/3,1/2]", "sdk", "2", "convert", "--fuel", "10")
+    assert code == 1
+    _, exact, _ = run("tree", "[1/3,1/2]", "grayk", "2", "encode")
+    assert exact.startswith("(min=1 1 1 max=1 _ 1 (R (min=_ 1 -1")
+    assert out == re.sub(r"-?1", "?", exact)
+
+
+def test_tree_convert_sdk_default_fuel():
+    # every cell resolves; a resolved bot cell of the exact code may take
+    # either sign, all others agree with it
+    code, out, _ = run("tree", "[1/3,1/2]", "sdk", "2", "convert")
+    _, exact, _ = run("tree", "[1/3,1/2]", "grayk", "2", "encode")
+    assert code == 0 and "?" not in out
+    cell = r"-?1|_"
+    assert re.sub(cell, "c", out) == re.sub(cell, "c", exact)
+    for c, x in zip(re.findall(cell, out), re.findall(cell, exact)):
+        assert c == x or x == "_"
+
+
+def test_tree_deep_sdk_value_is_fast():
+    # the reader stops at the depth; nothing is unrolled into 3^40 nodes
+    import ambreal
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(list(ambreal.__path__)[0]), env.get("PYTHONPATH", "")]
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "ambreal.cli", "tree", "[-1,1]", "sdk", "40", "value"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0 and proc.stdout == "[-1,1]\n"
 
 
 def test_tree_convert_grayk():

@@ -6,7 +6,6 @@ import pytest
 from ambreal.codec import (
     BOT_CELL,
     EPStream,
-    approx,
     extract_gray,
     extract_sd,
     gray_encode,
@@ -20,6 +19,7 @@ from ambreal.codec import (
     DomainError,
     ShapeError,
 )
+from ambreal import _stepcore
 from ambreal.engine import render_obs
 from ambreal.intervals import IntervalSet, hausdorff_sets, parse_interval_set
 from ambreal.terms import App, parse_term
@@ -164,10 +164,10 @@ def test_gray_prefix_examples():
         assert gray_prefix_set(cells) == IntervalSet([(-Fraction(1, 2 ** (n + 1)), 0)])
 
 
-def test_approx_examples():
-    assert approx([1, 0], "sd") == (Fraction(1, 2), Fraction(1, 4))
-    assert approx([BOT_CELL, 1], "gray") == (0, Fraction(1, 2))
-    assert approx([], "sd") == (0, 1)
+def test_prefix_hull_examples():
+    assert sd_prefix_interval([1, 0]).hull() == (Fraction(1, 4), Fraction(3, 4))
+    assert gray_prefix_set([BOT_CELL, 1]).hull() == (-Fraction(1, 2), Fraction(1, 2))
+    assert sd_prefix_interval([]).hull() == (-1, 1)
 
 
 def test_oracle_containment_and_convergence():
@@ -232,6 +232,24 @@ def test_inject_gray_plain_bot_cell(engine):
     assert render_obs(engine.observe(t, 4, 10**4)) == (
         "Pair(<unresolved>, Pair(Right(Nil), Pair(Left(Nil), Pair(Left(...), Pair(...)))))"
     )
+
+
+def test_loaded_stream_shares_cell_codes(engine):
+    # equal cells compile to one code tuple per spine; each cell still
+    # gets its own node when the spine is read
+    stream = EPStream((1, 1, BOT_CELL), (-1, 1, -1, BOT_CELL, 1))
+    code = engine.load(inject_gray(stream, "star")).code
+    for cells in (stream.pre, stream.period):
+        heads = {}
+        while code[0] == _stepcore.CON_:
+            head, code = code[2]
+            heads.setdefault(head, set()).add(id(head))
+        assert code[0] == _stepcore.REC_ or code[0] == _stepcore.VAR_
+        assert len(heads) == len(set(cells))
+        assert all(len(ids) == 1 for ids in heads.values())
+        if code[0] == _stepcore.REC_:
+            code = code[1][1]  # rec (fun s -> <period spine>)
+    assert extract_gray(engine, inject_gray(stream, "star"), 8, 10**4) == [1, 1, None, -1, 1, -1, None, 1]
 
 
 def test_inject_gray_star_bot_cell_unresolved(engine):

@@ -20,7 +20,6 @@ from ambreal.compact import (
     sdk_negate,
     sdk_tent_child,
     sdk_to_grayk,
-    sdk_truncate,
     tree_value_set,
 )
 from ambreal.intervals import EmptySet, IntervalSet, hausdorff_sets
@@ -44,31 +43,32 @@ def test_restrict_examples():
     assert not restrict(IntervalSet([(H, 1)]), -1)
 
 
-def test_sdk_truncate_point_zero():
-    T = sdk_truncate(pt(0), 1)
+def test_sd_tree_point_zero():
+    T = sd_tree(pt(0))
     assert sorted(T.digits) == [-1, 0, 1]
     # children represent av_d^-1[{0}] = {-d}
     assert tree_value_set(T.child(-1), 0) == FULL
-    T3 = sdk_truncate(pt(0), 3)
-    assert tree_value_set(T3.child(-1), 2) == tree_value_set(sdk_truncate(pt(1), 2), 2)
+    assert tree_value_set(T.child(-1), 2) == tree_value_set(sd_tree(pt(1)), 2)
+    assert T.has_child(0) and not sd_tree(pt(1)).has_child(0)
 
 
-def test_sdk_truncate_full_selfsimilar():
-    T = sdk_truncate(FULL, 1)
+def test_sd_tree_full_selfsimilar():
+    T = sd_tree(FULL)
     assert sorted(T.digits) == [-1, 0, 1]
     for d in (-1, 0, 1):
-        assert sorted(T.child(d).digits) == [-1, 0, 1]
+        assert T.child(d) is T
 
 
-def test_sdk_truncate_one_chain():
-    T = sdk_truncate(pt(1), 2)
-    assert T.digits == {1} and T.child(1).digits == {1}
+def test_sd_tree_one_chain():
+    T = sd_tree(pt(1))
+    assert T.digits == {1} and T.child(1) is T
 
 
 def test_truncated_leaf_raises():
-    T = sdk_truncate(pt(0), 1)
+    # grayk_to_sdk's depth-n output is the one finite tree
+    leaf = grayk_to_sdk(gray_lazy(pt(0)), 1).child(0)
     with pytest.raises(TruncatedTree):
-        T.child(0).child(0)
+        leaf.child(min(leaf.digits))
 
 
 def test_empty_set_rejected():
@@ -81,9 +81,9 @@ def test_empty_set_rejected():
 
 
 def test_value_set_examples():
-    assert tree_value_set(sdk_truncate(pt(0), 2), 2) == IntervalSet([(-H, H)])
-    assert tree_value_set(sdk_truncate(pt(0), 0), 0) == FULL
-    assert tree_value_set(sdk_truncate(pt(1), 3), 3) == IntervalSet([(Fraction(3, 4), 1)])
+    assert tree_value_set(sd_tree(pt(0)), 2) == IntervalSet([(-H, H)])
+    assert tree_value_set(sd_tree(pt(0)), 0) == FULL
+    assert tree_value_set(sd_tree(pt(1)), 3) == IntervalSet([(Fraction(3, 4), 1)])
 
 
 def test_tree_soundness_random():
@@ -183,9 +183,30 @@ def test_tent_child_law_random():
 
 
 def test_hausdorff_trunc_examples():
-    Z, O = sdk_truncate(pt(0), 6), sdk_truncate(pt(1), 6)
+    Z, O = sd_tree(pt(0)), sd_tree(pt(1))
     assert hausdorff_trunc(Z, Z, 6) == 0
     assert hausdorff_trunc(Z, O, 6) == H
+
+
+def _first_diff(S, T, depth):
+    # the plain recursion over every path, 3^depth nodes at most
+    if S.digits != T.digits:
+        return 1
+    subs = [_first_diff(S.child(d), T.child(d), depth - 1) for d in S.digits] if depth > 1 else []
+    subs = [n for n in subs if n is not None]
+    return min(subs) + 1 if subs else None
+
+
+def test_hausdorff_trunc_matches_path_recursion():
+    # breadth first over node pairs with revisits skipped gives the least
+    # differing depth of the plain recursion; near-equal sets differ deep
+    rng = random.Random(37)
+    for _ in range(40):
+        K = random_compact(rng)
+        L = K.union(pt(Fraction(rng.randint(-(2**10), 2**10), 2**10)))
+        n = rng.randint(0, 9)
+        want = _first_diff(sd_tree(K), sd_tree(L), n)
+        assert hausdorff_trunc(sd_tree(K), sd_tree(L), n) == (0 if want is None else H**want)
 
 
 def test_hausdorff_trunc_vs_sets():
@@ -212,22 +233,22 @@ def test_hausdorff_trunc_ultrametric():
 
 def test_gray_lazy_full():
     G = gray_lazy(FULL)
-    assert G.min_code().take(2) == [-1, -1]
-    assert G.max_code().take(2) == [1, -1]
+    assert [G.cell_min(i) for i in range(2)] == [-1, -1]
+    assert [G.cell_max(i) for i in range(2)] == [1, -1]
     assert G.has_child(-1) and G.has_child(1)
     assert G.child(-1).set == FULL and G.child(1).set == FULL
 
 
 def test_gray_lazy_third():
     G = gray_lazy(pt(Fraction(1, 3)))
-    assert G.min_code().take(3) == [1, 1, 1]
+    assert [G.cell_min(i) for i in range(3)] == [1, 1, 1]
     assert not G.has_child(-1) and G.has_child(1)
     assert G.child(1).set == pt(Fraction(1, 3))
 
 
 def test_gray_lazy_zero():
     G = gray_lazy(pt(0))
-    assert G.min_code().take(4) == [BOT_CELL, 1, -1, -1]
+    assert [G.cell_min(i) for i in range(4)] == [None, 1, -1, -1]
     assert G.has_child(-1) and G.has_child(1)
     assert G.child(1).set == pt(1)
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from ambreal import _stepcore
-from ambreal.codec import inject_sd, sd_encode
+from ambreal.codec import EPStream, inject_sd, sd_encode
 from ambreal.engine import (
     TAGS,
     Engine,
@@ -16,7 +16,7 @@ from ambreal.engine import (
     render_obs,
     strict_apply,
 )
-from ambreal.prelude import Prelude
+from ambreal.prelude import Prelude, load_prelude
 from ambreal.terms import (
     ARITY,
     BOT,
@@ -256,6 +256,28 @@ def test_fueled_call_restores_collector(e, method, fuel, enabled):
         (gc.enable if was else gc.disable)()
 
 
+@pytest.mark.parametrize("policy, drive", [("resolving", "resolve_node"), ("raw", "whnf_node")])
+def test_observe_pauses_the_collector(e, monkeypatch, policy, drive):
+    # observe reads every node through a fueled call, so the collector
+    # stays paused while the core runs, as for whnf / resolve_amb
+    paused = []
+    core = getattr(_stepcore, drive)
+
+    def spy(x, fuel):
+        paused.append(not gc.isenabled())
+        return core(x, fuel)
+
+    monkeypatch.setattr(_stepcore, drive, spy)
+    was = gc.isenabled()
+    gc.enable()
+    try:
+        o = e.observe(parse_term("Pair(Amb(bot, Nil), Left(Nil))"), 2, 10**3, policy)
+        assert gc.isenabled()
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert o != OUnresolved() and len(paused) >= 3 and all(paused)
+
+
 # ---------------------------------------------------------------------------
 # parallel-or through the engine
 
@@ -359,17 +381,80 @@ def test_fuel_monotone(t, fuel):
 
 CONFORM_STEPS = 400
 
-# det_step reaches Nil after 804 steps, so the engine spends all its fuel
-# on it; a cut-off that fired on it would be unsound.  closed_terms() draws
-# terms that reach a head within a few steps or never.
-SLOW_HEAD = parse_term(
-    "(rec (fun f -> fun n -> case n of { Right(m) -> f m; Nil -> Nil })) "
-    + "Right(" * 200 + "Nil" + ")" * 200
+COUNTDOWN = parse_term("rec (fun f -> fun n -> case n of { Right(m) -> f m; Nil -> Nil })")
+NTH = parse_term(
+    "rec (fun f -> fun n -> fun s -> case n of {"
+    " Right(m) -> case s of { Pair(_, r) -> f m r };"
+    " Nil -> case s of { Pair(h, _) -> h } })"
 )
+# forces its argument to a head, then returns it: the graph machine reuses
+# the evaluated node, det_step evaluates the substituted copy again
+SHARE = parse_term(
+    "fun x -> case x of { Nil -> x; Left(_) -> x; Right(_) -> x;"
+    " Pair(_, _) -> x; Amb(_, _) -> x; fun(_) -> x }"
+)
+_PRELUDE = load_prelude()
+PROJ_L, PROJ_R, NEG3, CELL2SD = (_PRELUDE.get(n) for n in ("proj_L", "proj_R", "neg3", "cell2sd"))
+TOWER = {
+    "id": lambda t: App(Lam("x", Var("x")), t),
+    "left": lambda t: App(Lam("x", con("Left", Var("x"))), t),
+    "share": lambda t: App(SHARE, t),
+}
 
 
-@settings(max_examples=300, deadline=None)
-@given(closed_terms())
+def _nat(k):
+    t = NIL
+    for _ in range(k):
+        t = con("Right", t)
+    return t
+
+
+def _tower(base, kinds):
+    for kind in kinds:
+        base = TOWER[kind](base)
+    return base
+
+
+def slow_terms():
+    """Terms that reach their head late or share nodes: countdowns of drawn
+    depth, identity / Left / sharing towers, and signed digits read off rec
+    streams through NTH and the prelude's projections, then passed to
+    digit combinators.  A countdown ends in Nil, which neg3 and cell2sd
+    do not match, so those terms get stuck only after their argument ran."""
+    digits = st.lists(st.sampled_from((-1, 0, 1)), max_size=3)
+    streams = st.recursive(
+        st.builds(lambda pre, per: inject_sd(EPStream(tuple(pre), (0, *per))), digits, digits),
+        lambda inner: st.one_of(
+            st.builds(App, st.just(PROJ_R), inner), inner.map(TOWER["share"])
+        ),
+        max_leaves=3,
+    )
+    countdowns = st.integers(0, 120).map(lambda k: App(COUNTDOWN, _nat(k)))
+    values = st.one_of(
+        countdowns,
+        countdowns.map(lambda t: App(NEG3, t)),
+        st.builds(
+            _tower,
+            st.sampled_from((NIL, con("Left", NIL), con("Pair", NIL, NIL))),
+            st.lists(st.sampled_from(sorted(TOWER)), max_size=40),
+        ),
+        st.builds(App, st.just(PROJ_L), streams),
+        st.builds(lambda k, s: App(App(NTH, _nat(k)), s), st.integers(0, 24), streams),
+    )
+    return st.recursive(
+        values,
+        lambda inner: st.builds(App, st.sampled_from((NEG3, CELL2SD)), inner),
+        max_leaves=3,
+    )
+
+
+# det_step reaches Nil after 804 steps, so the engine spends all its fuel
+# on it; a cut-off that fired on it would be unsound.
+SLOW_HEAD = App(COUNTDOWN, _nat(200))
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(closed_terms(), slow_terms()))
 @example(SLOW_HEAD)
 def test_graph_machine_conforms_to_det_step(t):
     # if det_step reaches a constructor or lambda head after k steps, the

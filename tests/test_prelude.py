@@ -14,6 +14,8 @@ from ambreal.terms import (
     parse_term,
 )
 
+from .conftest import observe_app
+
 TRUE = con("Left", NIL)
 FALSE = con("Right", NIL)
 
@@ -85,16 +87,16 @@ def test_por_shape(prelude):
     assert alpha_eq(prelude.get("por"), expected)
 
 
-# run() behavior
+# observing applied programs
 
 
 def test_run_por(prelude):
-    o = prelude.run("por", [con("Pair", TRUE, BOT)], fuel=10**4)
+    o = observe_app(prelude, "por", [con("Pair", TRUE, BOT)], fuel=10**4)
     assert render_obs(o) == "Left(Nil)"
 
 
 def test_run_f_ret_raw(prelude):
-    o = prelude.run("f_ret", [NIL], fuel=10**3, depth=2, policy="raw")
+    o = observe_app(prelude, "f_ret", [NIL], fuel=10**3, depth=2, policy="raw")
     assert render_obs(o) == "Amb(Left(Nil), <unresolved>)"
 
 
