@@ -17,12 +17,14 @@ from .codec import (
     extract_gray,
     extract_sd,
     gray_encode,
+    gray_prefix,
     gray_prefix_set,
     inject_gray,
     inject_sd,
     parse_digits,
     parse_stream,
     sd_encode,
+    sd_prefix,
     sd_prefix_interval,
 )
 from .compact import (
@@ -40,6 +42,9 @@ from .terms import ParseError, TermError, parse_defs
 
 DEFAULT_FUEL = 10**6
 DEFAULT_DEPTH = 16
+# deepest tree that tree ... encode|convert prints: a dump has up to 3^depth
+# nodes ([-1,1] has that many), so depth 12 is already ~17 MB of text
+DUMP_DEPTH_LIMIT = 12
 
 
 class CliError(Exception):
@@ -73,10 +78,10 @@ def cmd_encode(args) -> int:
     x = _frac(args.value)
     n = args.digits
     if args.rep == "sd":
-        digits, _ = sd_encode(x, n)
+        digits = sd_prefix(x, n)
         hull = sd_prefix_interval(digits)
     else:
-        digits, _ = gray_encode(x, n)
+        digits = gray_prefix(x, n)
         hull = gray_prefix_set(digits)
     print(" ".join(_digit_str(d, args.rep) for d in digits))
     lo, hi = hull.hull()
@@ -117,7 +122,7 @@ def cmd_convert(args) -> int:
         )
         cells = extract_gray(e, node, n, fuel)
         print(" ".join(_digit_str(c, "gray") for c in cells))
-        oracle = gray_encode(x, n)[0]
+        oracle = gray_prefix(x, n)
         ok = all(
             c is not None or oracle[i] == BOT_CELL for i, c in enumerate(cells)
         )
@@ -189,6 +194,9 @@ def cmd_tree(args) -> int:
         T = sd_tree(K) if args.rep == "sdk" else gray_lazy(K)
         print(_fmt_set(tree_value_set(T, depth)))
         return 0
+
+    if action in ("encode", "convert") and depth > DUMP_DEPTH_LIMIT:
+        raise CliError(f"{action} prints the tree to depth {depth}; the limit is {DUMP_DEPTH_LIMIT}")
 
     if action == "encode":
         if args.rep == "sdk":

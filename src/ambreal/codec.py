@@ -158,6 +158,28 @@ def _gray_step(a, q):
     return (-1 if a < 0 else (1 if a > 0 else BOT_CELL)), q - 2 * abs(a)
 
 
+def _prefix(x, step, n: int) -> list:
+    """The first n cells of the orbit of x = a/q: n steps, no period
+    search, so the cost follows n and not the denominator."""
+    x = _check_domain(x)
+    a, q = x.numerator, x.denominator
+    cells = []
+    for _ in range(n):
+        c, a = step(a, q)
+        cells.append(c)
+    return cells
+
+
+def sd_prefix(x, n: int) -> list:
+    """First n signed digits of x, as sd_encode(x, n)[0]."""
+    return _prefix(x, _sd_step, n)
+
+
+def gray_prefix(x, n: int) -> list:
+    """First n gray cells of x, as gray_encode(x, n)[0]."""
+    return _prefix(x, _gray_step, n)
+
+
 def sd_encode(x, n: int) -> tuple:
     """First n signed digits of x plus the full eventually periodic stream.
 

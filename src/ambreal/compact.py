@@ -14,7 +14,11 @@ tree is ever copied to a depth: every reader (tree_value_set,
 hausdorff_trunc, the CLI's dumps) takes the depth it reads to, so its
 cost follows the distinct nodes it meets, not the 3^n paths below the
 root.  The only finite trees are grayk_to_sdk's depth-n outputs, whose
-leaves raise TruncatedTree when asked for a child.
+leaves raise TruncatedTree when asked for a child.  Such an output is a
+DAG: it holds one node per distinct (Gray node, remaining depth), shared
+by every path that reaches that pair, with the digit set the per-path
+conversion gives on each path; it is built level by level, so depth is
+no recursion.
 
 The two conversions:
 
@@ -205,29 +209,45 @@ AV_CODED = {-1: (HALF, Fraction(-1, 2)), 0: (HALF, Fraction(0)), 1: (HALF, HALF)
 G_CODED = {-1: (HALF, Fraction(-1, 2)), 1: (-HALF, HALF)}
 
 
+def _levels(root, n: int, kids) -> list:
+    """The distinct nodes at depths 0..n below root, one list per depth;
+    kids(node) gives a node's children.  Nodes are told apart by ==, so a
+    cyclic tree costs its distinct nodes per level, not its 3^n paths."""
+    levels = [[root]]
+    for _ in range(n):
+        nxt = {}
+        for node in levels[-1]:
+            for kid in kids(node):
+                nxt[kid] = None
+        levels.append(list(nxt))
+    return levels
+
+
 def tree_value_set(T, n: int) -> IntervalSet:
     """Union over depth-n paths of the digit-map images of [-1,1], for a
     signed-digit or a Gray tree.
 
-    Memoized per (node, depth): cyclic trees of rational sets have few
-    distinct nodes, so this is linear in nodes x depth rather than 3^n.
+    Bottom up over the distinct nodes of each depth: cyclic trees of
+    rational sets have few of them, so this is linear in nodes x depth
+    rather than 3^n, and it recurses at no depth.
     """
     maps = AV_CODED if isinstance(T, SDTree) else G_CODED
-    memo = {}
 
-    def value(node, k) -> IntervalSet:
-        if k == 0:
-            return IntervalSet.full()
-        out = memo.get((node, k))
-        if out is None:
+    def kids(node):
+        return [node.child(d) for d in maps if node.has_child(d)]
+
+    levels = _levels(T, n, kids)
+    value = dict.fromkeys(levels[-1], IntervalSet.full())
+    for level in reversed(levels[:-1]):
+        below = value
+        value = {}
+        for node in level:
             out = IntervalSet([])
             for d, (a, b) in maps.items():
                 if node.has_child(d):
-                    out = out.union(value(node.child(d), k - 1).affine(a, b))
-            memo[node, k] = out
-        return out
-
-    return value(T, n)
+                    out = out.union(below[node.child(d)].affine(a, b))
+            value[node] = out
+    return value[T]
 
 
 def hausdorff_trunc(S: SDTree, T: SDTree, max_depth: int) -> Fraction:
@@ -273,7 +293,9 @@ def _flip(c):
 
 
 class OracleGray:
-    """Gray tree of an exact set: codes from gray_encode, children exact."""
+    """Gray tree of an exact set: codes from gray_encode, children exact.
+    One memo per tree shares the nodes by set; each child slot holds the
+    child, or None, from its first use."""
 
     __slots__ = ("set", "_min", "_max", "_kids", "_memo")
 
@@ -283,7 +305,7 @@ class OracleGray:
         self._min = gray_encode(K.min(), 0)[1]
         self._max = gray_encode(K.max(), 0)[1]
         self._kids = {}
-        self._memo = {} if _memo is None else _memo
+        self._memo = {K: self} if _memo is None else _memo
 
     def cell_min(self, i):
         c = self._min[i]
@@ -293,25 +315,37 @@ class OracleGray:
         c = self._max[i]
         return None if c == BOT_CELL else c
 
-    def has_child(self, d) -> bool:
-        return bool(restrict(self.set, d))
-
-    def child(self, d) -> "OracleGray":
+    def _kid(self, d):
         if d not in self._kids:
+            node = None
             Kd = restrict(self.set, d)
-            if not Kd:
-                raise KeyError(f"no child for {d}")
-            img = Kd.affine(2, 1) if d == -1 else Kd.affine(-2, 1)
-            node = self._memo.get(img)
-            if node is None:
-                node = OracleGray(img, self._memo)
-                self._memo[img] = node
+            if Kd:
+                img = Kd.affine(2, 1) if d == -1 else Kd.affine(-2, 1)
+                node = self._memo.get(img)
+                if node is None:
+                    node = self._memo[img] = OracleGray(img, self._memo)
             self._kids[d] = node
         return self._kids[d]
+
+    def has_child(self, d) -> bool:
+        return self._kid(d) is not None
+
+    def child(self, d) -> "OracleGray":
+        node = self._kid(d)
+        if node is None:
+            raise KeyError(f"no child for {d}")
+        return node
 
 
 def gray_lazy(K: IntervalSet) -> OracleGray:
     return OracleGray(K)
+
+
+# The wrappers below compare and hash by the nodes they read, so a
+# conversion meets each distinct derived node once per depth.  In a
+# conversion those are backing nodes (OracleGray, EngineGray), which keep
+# their identity: a DoubleGray reads two grandchildren, each a backing
+# node, and _neg unwraps a NegGray instead of nesting one.
 
 
 class NegGray:
@@ -321,6 +355,12 @@ class NegGray:
 
     def __init__(self, base):
         self.base = base
+
+    def __eq__(self, other):
+        return type(other) is NegGray and self.base == other.base
+
+    def __hash__(self):
+        return hash((NegGray, self.base))
 
     def cell_min(self, i):
         c = self.base.cell_max(i)
@@ -338,6 +378,11 @@ class NegGray:
         return self.base.child(-d)
 
 
+def _neg(node):
+    """Gray tree of -K for the tree node of K; never a double negation."""
+    return node.base if type(node) is NegGray else NegGray(node)
+
+
 def _neg_code_cell(node, which, i):
     # cell i of the flipped-head code of node's min/max code
     c = node.cell_min(i) if which == "min" else node.cell_max(i)
@@ -351,7 +396,8 @@ class DoubleGray:
     B' = K_1 n [0,1/2]: A' is nonempty iff L has a +1 child (same for B'
     and R), min 2K_0 = -(1+max Lc1)/2 and max 2K_0 = (1+max Rc1)/2 where
     Lc1, Rc1 are the +1 grandchildren, and the children of 2K_0 are their
-    negations.  Everything is exact code plumbing over the tent bijections.
+    negations.  Everything is exact code plumbing over the tent bijections,
+    so the node is fixed by (Lc1, Rc1) and compares by them.
     """
 
     __slots__ = ("_a", "_b", "_lc1", "_rc1")
@@ -365,6 +411,12 @@ class DoubleGray:
         self._b = self._rc1 is not None
         if not (self._a or self._b):
             raise EmptySet("0-restriction is empty")
+
+    def __eq__(self, other):
+        return type(other) is DoubleGray and self._lc1 is other._lc1 and self._rc1 is other._rc1
+
+    def __hash__(self):
+        return hash((DoubleGray, self._lc1, self._rc1))
 
     def cell_min(self, i):
         if self._a:
@@ -384,7 +436,7 @@ class DoubleGray:
         node = self._lc1 if d == -1 else self._rc1
         if node is None:
             raise KeyError(f"no child for {d}")
-        return NegGray(node)
+        return _neg(node)
 
 
 class EngineGray:
@@ -500,25 +552,44 @@ def _probe_digits(G) -> frozenset:
     raise UnresolvedNode("no probe case resolved")
 
 
+def _sd_child(node, d):
+    """Gray tree of the d-child of the signed-digit tree converted from node."""
+    if d == -1:
+        return node.child(-1)
+    if d == 1:
+        return _neg(node.child(1))
+    return DoubleGray(node)
+
+
 def grayk_to_sdk(G, n: int) -> SDTree:
     """Depth-n signed-digit tree converted from a Gray tree.
 
+    Level by level: each distinct Gray node is probed and given its
+    children once, then the SDTrees are built from depth n up to the
+    root, one per distinct (node, depth), so equal subtrees are shared.
     Engine-backed nodes carry their own fuel.
     """
+    digits = {}
+    subs = {}
 
-    def build(node, depth) -> SDTree:
-        E = _probe_digits(node)
-        if depth == 0:
-            return SDTree(E, kids={})
-        kids = {}
-        for d in E:
-            if d == -1:
-                sub = node.child(-1)
-            elif d == 1:
-                sub = NegGray(node.child(1))
-            else:
-                sub = DoubleGray(node)
-            kids[d] = build(sub, depth - 1)
-        return SDTree(E, kids=kids)
+    def probe(node):
+        E = digits.get(node)
+        if E is None:
+            E = digits[node] = _probe_digits(node)
+        return E
 
-    return build(G, n)
+    def kids(node):
+        out = subs.get(node)
+        if out is None:
+            out = subs[node] = {d: _sd_child(node, d) for d in probe(node)}
+        return out.values()
+
+    levels = _levels(G, n, kids)
+    built = {node: SDTree(probe(node)) for node in levels[-1]}
+    for level in reversed(levels[:-1]):
+        below = built
+        built = {
+            node: SDTree(digits[node], kids={d: below[sub] for d, sub in subs[node].items()})
+            for node in level
+        }
+    return built[G]

@@ -4,10 +4,12 @@ import os
 import re
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from ambreal.cli import main
+from ambreal.cli import DUMP_DEPTH_LIMIT, main
+from ambreal.intervals import hausdorff_sets, parse_interval_set
 
 
 def run(*argv):
@@ -33,6 +35,13 @@ def test_encode_sd_third():
     code, out, _ = run("encode", "1/3", "sd", "4")
     assert code == 0
     assert out.splitlines()[0] == "1 -1 1 -1"
+
+
+def test_encode_prefix_of_a_long_period():
+    # 8 digits take 8 steps, not the ~10^6-cell walk to the period
+    assert run("encode", "1/1000003", "sd", "8") == (0, "0 0 0 0 0 0 0 0\n[-1/256,1/256]", "")
+    code, out, _ = run("encode", "-1/1000003", "gray", "3")
+    assert code == 0 and out.splitlines()[0] == "-1 1 -1"
 
 
 def test_encode_domain_error():
@@ -180,6 +189,34 @@ def test_tree_deep_sdk_value_is_fast():
         env=env, capture_output=True, text=True, timeout=20,
     )
     assert proc.returncode == 0 and proc.stdout == "[-1,1]\n"
+
+
+def test_tree_value_at_depth_2000():
+    # the value reader works bottom up by depth: no recursion per level
+    assert run("tree", "[-1,1]", "sdk", "2000", "value") == (0, "[-1,1]", "")
+    code, out, _ = run("tree", "[1/3,1/2]", "grayk", "2000", "value")
+    K = parse_interval_set("[1/3,1/2]")
+    assert code == 0 and hausdorff_sets(parse_interval_set(out), K) <= Fraction(4, 2**2000)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "[1/3,1/2]", "sdk", "2000", "encode"),
+        ("tree", "[1/3,1/2]", "grayk", "2000", "convert"),
+        ("tree", "[-1,1]", "grayk", str(DUMP_DEPTH_LIMIT + 1), "encode"),
+        ("tree", "[0,0]", "sdk", str(DUMP_DEPTH_LIMIT + 1), "convert"),
+    ],
+)
+def test_tree_dump_above_the_depth_limit(argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == ""
+    assert f"the limit is {DUMP_DEPTH_LIMIT}" in err
+
+
+def test_tree_dump_at_the_depth_limit():
+    code, out, _ = run("tree", "[1/3,1/3]", "grayk", str(DUMP_DEPTH_LIMIT), "convert")
+    assert code == 0 and out.count("(E=") == DUMP_DEPTH_LIMIT + 1
 
 
 def test_tree_convert_grayk():

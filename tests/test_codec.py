@@ -9,11 +9,13 @@ from ambreal.codec import (
     extract_gray,
     extract_sd,
     gray_encode,
+    gray_prefix,
     gray_prefix_set,
     inject_gray,
     inject_sd,
     parse_stream,
     sd_encode,
+    sd_prefix,
     sd_prefix_interval,
     tent,
     DomainError,
@@ -140,6 +142,17 @@ def test_encoders_match_fraction_reference():
     for x in _encoder_inputs():
         assert sd_encode(x, 48) == reference_sd_encode(x, 48), x
         assert gray_encode(x, 48) == reference_gray_encode(x, 48), x
+
+
+def test_prefix_walks_match_the_encoders():
+    # the thresholds m/4 are among the inputs
+    for x in _encoder_inputs():
+        sd, gray = sd_encode(x, 48)[0], gray_encode(x, 48)[0]
+        for n in (0, 1, 5, 48):
+            assert sd_prefix(x, n) == sd[:n], x
+            assert gray_prefix(x, n) == gray[:n], x
+    with pytest.raises(DomainError):
+        sd_prefix(Fraction(3, 2), 4)
 
 
 # ---------------------------------------------------------------------------

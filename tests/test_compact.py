@@ -1,7 +1,9 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ambreal.codec import BOT_CELL, EPStream, gray_encode, gray_prefix_set, sd_prefix_interval
 from ambreal.compact import (
@@ -9,7 +11,10 @@ from ambreal.compact import (
     EngineGray,
     NegGray,
     OracleGray,
+    SDTree,
     TruncatedTree,
+    _neg,
+    _probe_digits,
     grayk_to_sdk,
     gray_lazy,
     hausdorff_trunc,
@@ -376,3 +381,106 @@ def test_double_gray_wrapper():
         cells = [BOT_CELL if c is None else c for c in got_max]
         assert gray_prefix_set(cells).contains(S.max())
         assert hausdorff_sets(tree_value_set(D, 7), S) <= Fraction(4, 2**7)
+
+
+def test_wrappers_compare_by_backing_nodes():
+    G = gray_lazy(IntervalSet([(Fraction(-3, 4), Fraction(1, 3))]))
+    L, R = G.child(-1), G.child(1)
+    assert NegGray(L) == NegGray(L) and hash(NegGray(L)) == hash(NegGray(L))
+    assert NegGray(L) != NegGray(R) and NegGray(L) != L
+    # built twice from one node, or from nodes with the same grandchildren
+    D = DoubleGray(G)
+    assert D == DoubleGray(G) and hash(D) == hash(DoubleGray(G))
+    assert DoubleGray(NegGray(NegGray(G))) == D
+    assert D != DoubleGray(gray_lazy(FULL)) and D != NegGray(D)
+    assert NegGray(D) == NegGray(DoubleGray(G))
+
+
+def test_neg_never_doubles():
+    G = gray_lazy(IntervalSet([(Fraction(-1, 5), Fraction(2, 3))]))
+    for x in (G, DoubleGray(G)):
+        assert _neg(_neg(x)) is x
+        assert type(_neg(x)) is NegGray and _neg(x).base is x
+    N = NegGray(G)
+    assert _neg(N) is G and _neg(_neg(N)) == N
+
+
+def test_oracle_gray_restricts_each_slot_once(monkeypatch):
+    G = gray_lazy(IntervalSet([(Fraction(1, 3), Fraction(1, 2))]))
+    calls = []
+    intersect = IntervalSet.intersect_interval
+
+    def counted(self, lo, hi):
+        calls.append((lo, hi))
+        return intersect(self, lo, hi)
+
+    monkeypatch.setattr(IntervalSet, "intersect_interval", counted)
+    for _ in range(3):
+        assert G.has_child(1) and not G.has_child(-1)
+        G.child(1)
+    with pytest.raises(KeyError):
+        G.child(-1)
+    assert len(calls) == 2
+
+
+def _per_path(node, depth):
+    # the plain conversion: a fresh wrapper and a fresh node on every path
+    E = _probe_digits(node)
+    kids = {}
+    if depth:
+        for d in E:
+            if d == -1:
+                sub = node.child(-1)
+            elif d == 1:
+                sub = NegGray(node.child(1))
+            else:
+                sub = DoubleGray(node)
+            kids[d] = _per_path(sub, depth - 1)
+    return E, kids
+
+
+def _same_paths(T, ref, depth):
+    E, kids = ref
+    assert T.digits == E
+    if depth:
+        for d in E:
+            _same_paths(T.child(d), kids[d], depth - 1)
+
+
+@st.composite
+def unions(draw):
+    """A union of 1-4 intervals; endpoints over a dyadic or an odd
+    denominator, so codes end in zero cells, bot cells or long periods."""
+    den = draw(st.sampled_from([2**10, 2**4, 3, 7, 12, 45, 1000, 2**10 - 1]))
+    parts = draw(st.integers(min_value=1, max_value=4))
+    ends = draw(st.lists(st.integers(min_value=-den, max_value=den), min_size=2 * parts, max_size=2 * parts))
+    pts = sorted(Fraction(e, den) for e in ends)
+    return IntervalSet([(pts[2 * i], pts[2 * i + 1]) for i in range(parts)])
+
+
+@settings(max_examples=150, deadline=None)
+@given(unions())
+def test_grayk_to_sdk_matches_per_path_conversion(K):
+    n = 7
+    _same_paths(grayk_to_sdk(gray_lazy(K), n), _per_path(gray_lazy(K), n), n)
+
+
+def test_grayk_to_sdk_shares_subtrees_deep():
+    start = time.perf_counter()
+    T = grayk_to_sdk(gray_lazy(IntervalSet([(Fraction(1, 3), H)])), 2000)
+    assert time.perf_counter() - start < 10
+    seen = {id(T)}
+    stack = [T]
+    while stack:
+        node = stack.pop()
+        assert isinstance(node, SDTree)
+        for d in node.digits:
+            try:
+                kid = node.child(d)
+            except TruncatedTree:
+                continue
+            if id(kid) not in seen:
+                seen.add(id(kid))
+                stack.append(kid)
+    # one node per distinct (Gray node, depth): a few per level
+    assert 2000 < len(seen) < 10**4
