@@ -93,8 +93,7 @@ def _input_stream(args, rep) -> tuple:
     """Returns (stream, exact value)."""
     if args.value is not None:
         x = _frac(args.value)
-        stream = (sd_encode if rep == "sd" else gray_encode)(x, 0)[1]
-        return stream, x
+        return (sd_encode if rep == "sd" else gray_encode)(x), x
     if args.stream is not None:
         stream = parse_stream(args.stream, rep)
         value = stream.sd_value() if rep == "sd" else stream.gray_value()
@@ -106,14 +105,18 @@ def cmd_convert(args) -> int:
     src, dst = args.source, args.target
     n = args.digits
     fuel = args.fuel
+    if src == dst:
+        # the input itself: no period search for a --value, no prelude
+        if args.value is not None:
+            out = (sd_prefix if src == "sd" else gray_prefix)(_frac(args.value), n)
+        else:
+            out = _input_stream(args, src)[0].take(n)
+        print(" ".join(_digit_str(d, dst) for d in out))
+        return 0
+
     stream, x = _input_stream(args, src)
     prelude = load_prelude()
     e = prelude.engine
-
-    if src == dst:
-        out = stream.take(n)
-        print(" ".join(_digit_str(d, dst) for d in out))
-        return 0
 
     if src == "sd":
         node = e.apply(

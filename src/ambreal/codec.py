@@ -132,10 +132,10 @@ def parse_stream(text: str, rep: str) -> EPStream:
 # canonical encoders
 
 
-def _orbit(x, step, n: int) -> tuple:
+def _orbit(x, step) -> EPStream:
     """Walk the orbit of x = a/q on the integer numerator a until a state
     repeats; step(a, q) gives the cell of a and the next numerator, whose
-    denominator stays q.  Returns the first n cells and the stream."""
+    denominator stays q.  Returns the eventually periodic stream."""
     x = _check_domain(x)
     a, q = x.numerator, x.denominator
     cells = []
@@ -145,8 +145,7 @@ def _orbit(x, step, n: int) -> tuple:
         c, a = step(a, q)
         cells.append(c)
     start = seen[a]
-    stream = EPStream(tuple(cells[:start]), tuple(cells[start:]))
-    return stream.take(n), stream
+    return EPStream(tuple(cells[:start]), tuple(cells[start:]))
 
 
 def _sd_step(a, q):
@@ -171,27 +170,27 @@ def _prefix(x, step, n: int) -> list:
 
 
 def sd_prefix(x, n: int) -> list:
-    """First n signed digits of x, as sd_encode(x, n)[0]."""
+    """First n signed digits of x, as sd_encode(x).take(n)."""
     return _prefix(x, _sd_step, n)
 
 
 def gray_prefix(x, n: int) -> list:
-    """First n gray cells of x, as gray_encode(x, n)[0]."""
+    """First n gray cells of x, as gray_encode(x).take(n)."""
     return _prefix(x, _gray_step, n)
 
 
-def sd_encode(x, n: int) -> tuple:
-    """First n signed digits of x plus the full eventually periodic stream.
+def sd_encode(x) -> EPStream:
+    """The eventually periodic signed-digit stream of x.
 
     Digit choice: -1 below -1/4, +1 above 1/4, else 0; then recurse on
     2x - d.  Thresholds are symmetric so negation flips digits exactly.
     """
-    return _orbit(x, _sd_step, n)
+    return _orbit(x, _sd_step)
 
 
-def gray_encode(x, n: int) -> tuple:
-    """First n gray cells of x (sign of the tent orbit) plus the stream."""
-    return _orbit(x, _gray_step, n)
+def gray_encode(x) -> EPStream:
+    """The eventually periodic gray stream of x (signs of the tent orbit)."""
+    return _orbit(x, _gray_step)
 
 
 # ---------------------------------------------------------------------------

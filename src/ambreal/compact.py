@@ -9,16 +9,18 @@ exactly when the restriction is nonempty.
 Trees built from interval sets are lazy and memoized by exact set value,
 so rational inputs produce cyclic graphs; streams read off such trees are
 eventually periodic and can be fed to the engine.  Syntactic transforms
-(negate, tent-child) preserve the cycles through per-node caches.  No
-tree is ever copied to a depth: every reader (tree_value_set,
-hausdorff_trunc, the CLI's dumps) takes the depth it reads to, so its
-cost follows the distinct nodes it meets, not the 3^n paths below the
-root.  The only finite trees are grayk_to_sdk's depth-n outputs, whose
-leaves raise TruncatedTree when asked for a child.  Such an output is a
-DAG: it holds one node per distinct (Gray node, remaining depth), shared
-by every path that reaches that pair, with the digit set the per-path
-conversion gives on each path; it is built level by level, so depth is
-no recursion.
+(negate, tent-child) preserve the cycles through per-node caches, and
+the Gray trees share their nodes the same way: OracleGray by set,
+EngineGray by source tree, so an engine conversion loads and converts
+the min/max codes of each distinct source once.  No tree is ever copied
+to a depth: every reader (tree_value_set, hausdorff_trunc, the CLI's
+dumps) takes the depth it reads to, so its cost follows the distinct
+nodes it meets, not the 3^n paths below the root.  The only finite
+trees are grayk_to_sdk's depth-n outputs, whose leaves raise
+TruncatedTree when asked for a child.  Such an output is a DAG: it holds
+one node per distinct (Gray node, remaining depth), shared by every path
+that reaches that pair, with the digit set the per-path conversion gives
+on each path; it is built level by level, so depth is no recursion.
 
 The two conversions:
 
@@ -38,6 +40,7 @@ Outputs are compared to oracles by value sets, never by tree equality.
 
 from __future__ import annotations
 
+import weakref
 from fractions import Fraction
 
 from .codec import (
@@ -176,10 +179,11 @@ def sdk_tent_child(T: SDTree, d: int) -> SDTree:
 STREAM_LIMIT = 4096
 
 
-def sdk_min_stream(T: SDTree):
-    """Digits of the least path; an EPStream when the walk becomes cyclic,
-    otherwise (for truncated input or beyond STREAM_LIMIT digits) the list
-    of digits seen."""
+def sdk_path_stream(T: SDTree, pick):
+    """Digits of the path that takes pick(digits) (min or max) at each
+    node: an EPStream when the walk becomes cyclic, otherwise (for
+    truncated input or beyond STREAM_LIMIT digits) the list of digits
+    seen."""
     digits = []
     seen = {}
     node = T
@@ -189,20 +193,13 @@ def sdk_min_stream(T: SDTree):
             k = seen[key]
             return EPStream(tuple(digits[:k]), tuple(digits[k:]))
         seen[key] = i
-        d = min(node.digits)
+        d = pick(node.digits)
         digits.append(d)
         try:
             node = node.child(d)
         except TruncatedTree:
             return digits
     return digits
-
-
-def sdk_max_stream(T: SDTree):
-    out = sdk_min_stream(sdk_negate(T))
-    if isinstance(out, EPStream):
-        return EPStream(tuple(-d for d in out.pre), tuple(-d for d in out.period))
-    return [-d for d in out]
 
 
 AV_CODED = {-1: (HALF, Fraction(-1, 2)), 0: (HALF, Fraction(0)), 1: (HALF, HALF)}
@@ -286,12 +283,6 @@ def hausdorff_trunc(S: SDTree, T: SDTree, max_depth: int) -> Fraction:
 # gray trees: a common cell/child interface with several backings
 
 
-def _flip(c):
-    if c is None:
-        return None
-    return -c
-
-
 class OracleGray:
     """Gray tree of an exact set: codes from gray_encode, children exact.
     One memo per tree shares the nodes by set; each child slot holds the
@@ -302,8 +293,8 @@ class OracleGray:
     def __init__(self, K: IntervalSet, _memo=None):
         _check_nonempty(K)
         self.set = K
-        self._min = gray_encode(K.min(), 0)[1]
-        self._max = gray_encode(K.max(), 0)[1]
+        self._min = gray_encode(K.min())
+        self._max = gray_encode(K.max())
         self._kids = {}
         self._memo = {K: self} if _memo is None else _memo
 
@@ -364,11 +355,11 @@ class NegGray:
 
     def cell_min(self, i):
         c = self.base.cell_max(i)
-        return _flip(c) if i == 0 else c
+        return -c if i == 0 and c is not None else c
 
     def cell_max(self, i):
         c = self.base.cell_min(i)
-        return _flip(c) if i == 0 else c
+        return -c if i == 0 and c is not None else c
 
     def has_child(self, d):
         return self.base.has_child(-d)
@@ -383,12 +374,6 @@ def _neg(node):
     return node.base if type(node) is NegGray else NegGray(node)
 
 
-def _neg_code_cell(node, which, i):
-    # cell i of the flipped-head code of node's min/max code
-    c = node.cell_min(i) if which == "min" else node.cell_max(i)
-    return _flip(c) if i == 0 else c
-
-
 class DoubleGray:
     """Gray tree of 2*K_0, derived from the grandchildren of the base node.
 
@@ -400,16 +385,14 @@ class DoubleGray:
     so the node is fixed by (Lc1, Rc1) and compares by them.
     """
 
-    __slots__ = ("_a", "_b", "_lc1", "_rc1")
+    __slots__ = ("_lc1", "_rc1")
 
     def __init__(self, base):
         L = base.child(-1) if base.has_child(-1) else None
         R = base.child(1) if base.has_child(1) else None
         self._lc1 = L.child(1) if (L is not None and L.has_child(1)) else None
         self._rc1 = R.child(1) if (R is not None and R.has_child(1)) else None
-        self._a = self._lc1 is not None
-        self._b = self._rc1 is not None
-        if not (self._a or self._b):
+        if self._lc1 is None and self._rc1 is None:
             raise EmptySet("0-restriction is empty")
 
     def __eq__(self, other):
@@ -419,18 +402,18 @@ class DoubleGray:
         return hash((DoubleGray, self._lc1, self._rc1))
 
     def cell_min(self, i):
-        if self._a:
-            # -(1+m)/2 with m = max Lc1: head -1, then code of -m
-            return -1 if i == 0 else _neg_code_cell(self._lc1, "max", i - 1)
-        return 1 if i == 0 else _neg_code_cell(self._rc1, "min", i - 1)
+        if self._lc1 is not None:
+            # -(1+m)/2 with m = max Lc1: head -1, then the code of -m
+            return -1 if i == 0 else _neg(self._lc1).cell_min(i - 1)
+        return 1 if i == 0 else _neg(self._rc1).cell_max(i - 1)
 
     def cell_max(self, i):
-        if self._b:
-            return 1 if i == 0 else _neg_code_cell(self._rc1, "max", i - 1)
-        return -1 if i == 0 else _neg_code_cell(self._lc1, "min", i - 1)
+        if self._rc1 is not None:
+            return 1 if i == 0 else _neg(self._rc1).cell_min(i - 1)
+        return -1 if i == 0 else _neg(self._lc1).cell_max(i - 1)
 
     def has_child(self, d):
-        return self._a if d == -1 else self._b
+        return (self._lc1 if d == -1 else self._rc1) is not None
 
     def child(self, d):
         node = self._lc1 if d == -1 else self._rc1
@@ -444,20 +427,26 @@ class EngineGray:
 
     Codes are engine conversions (sd2gray) of the tree's min/max digit
     streams; children follow the digit-set certificates and the syntactic
-    tent-child transform.
+    tent-child transform.  One memo per conversion shares the nodes by
+    source tree, as OracleGray's does by set, so each distinct source is
+    converted once.  The memo holds nodes weakly and child slots hold
+    only the children a node made, so shared nodes form no reference
+    cycle, even where the source tree is cyclic.
     """
 
-    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids")
+    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids", "_memo", "__weakref__")
 
-    def __init__(self, source: SDTree, prelude, fuel=10**6):
+    def __init__(self, source: SDTree, prelude, fuel=10**6, _memo=None):
         self.source = source
         self.prelude = prelude
         self.fuel = fuel
         self._cells = {}
         self._kids = {}
+        self._memo = weakref.WeakValueDictionary() if _memo is None else _memo
+        self._memo[source] = self
 
-    def _code_node(self, which):
-        stream = sdk_min_stream(self.source) if which == "min" else sdk_max_stream(self.source)
+    def _code_node(self, pick):
+        stream = sdk_path_stream(self.source, pick)
         if isinstance(stream, EPStream):
             src = inject_sd(stream)
         else:  # truncated walk: finite prefix, divergent tail
@@ -468,31 +457,35 @@ class EngineGray:
             e.apply(self.prelude.node("sd_emb"), e.load(src)),
         )
 
-    def _cell(self, which, i):
+    def _cell(self, pick, i):
         # the cells read so far and the unread spine tail (None once the
         # spine stays Unresolved): each cell is read once, with one budget
-        if which not in self._cells:
-            self._cells[which] = ([], self._code_node(which))
-        cells, tail = self._cells[which]
+        if pick not in self._cells:
+            self._cells[pick] = ([], self._code_node(pick))
+        cells, tail = self._cells[pick]
         if len(cells) <= i and tail is not None:
             got, tail = read_gray(self.prelude.engine, tail, i + 1 - len(cells), self.fuel)
             cells.extend(got)
-            self._cells[which] = (cells, tail)
+            self._cells[pick] = (cells, tail)
         return cells[i] if i < len(cells) else None
 
     def cell_min(self, i):
-        return self._cell("min", i)
+        return self._cell(min, i)
 
     def cell_max(self, i):
-        return self._cell("max", i)
+        return self._cell(max, i)
 
     def has_child(self, d):
         return d in self.source.digits
 
     def child(self, d):
-        if d not in self._kids:
-            self._kids[d] = EngineGray(sdk_tent_child(self.source, d), self.prelude, self.fuel)
-        return self._kids[d]
+        node = self._kids.get(d)
+        if node is None:
+            source = sdk_tent_child(self.source, d)
+            node = self._memo.get(source)
+            if node is None:
+                node = self._kids[d] = EngineGray(source, self.prelude, self.fuel, self._memo)
+        return node
 
 
 def sdk_to_grayk(T: SDTree, prelude, fuel=10**6) -> EngineGray:

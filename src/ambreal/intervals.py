@@ -158,6 +158,9 @@ def parse_interval_set(text: str) -> IntervalSet:
         part = part.strip()
         if not (part.startswith("[") and part.endswith("]")):
             raise ValueError(f"bad interval literal {part!r}")
-        lo, hi = part[1:-1].split(",")
-        ivs.append((Fraction(lo.strip()), Fraction(hi.strip())))
+        try:
+            lo, hi = (Fraction(end.strip()) for end in part[1:-1].split(","))
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"bad interval literal {part!r}") from None
+        ivs.append((lo, hi))
     return IntervalSet(ivs)

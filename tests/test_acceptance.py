@@ -19,6 +19,7 @@ from ambreal.codec import (
     extract_gray,
     extract_sd,
     gray_encode,
+    gray_prefix,
     gray_prefix_set,
     inject_gray,
     inject_sd,
@@ -111,11 +112,11 @@ def test_c2_encoders():
     n = 48
     for _ in range(500):
         x = random_rational(rng, 2**20)
-        w, _ = sd_encode(x, n)
+        w = sd_encode(x).take(n)
         s = sd_prefix_interval(w)
         assert s.contains(x)
         assert s.diameter() <= Fraction(2, 2**n)
-        cells, _ = gray_encode(x, n)
+        cells = gray_encode(x).take(n)
         g = gray_prefix_set(cells)
         assert g.contains(x)
         assert g.max() - g.min() <= Fraction(4, 2**n)
@@ -128,7 +129,7 @@ def test_c3_gray_to_sd():
     e = prelude.engine
     n = 24
     for x in corpus_200():
-        _, g = gray_encode(x, 0)
+        g = gray_encode(x)
         node = e.apply(prelude.node("gray2sd"), e.load(inject_gray(g, "star")))
         digs = extract_sd(e, node, n, 10**5)
         assert all(d is not None for d in digs), x
@@ -144,13 +145,13 @@ def _probe_dyadic(args):
     """Worker: check defined cells and the unknown-cell burn for one dyadic."""
     num, den, fuels = args
     x = Fraction(num, den)
-    oracle, _ = gray_encode(x, 24)
+    oracle = gray_encode(x).take(24)
     j = oracle.index(BOT_CELL)
     out = []
     for fuel in fuels:
         prelude = load_prelude()
         e = prelude.engine
-        _, s = sd_encode(x, 0)
+        s = sd_encode(x)
         node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
         # walk the spine to cell j, then collapse the cell with this fuel
         for _ in range(j):
@@ -170,8 +171,8 @@ def test_c4_sd_to_gray():
     e = prelude.engine
     dyadics = []
     for x in xs:
-        oracle, _ = gray_encode(x, n)
-        _, s = sd_encode(x, 0)
+        oracle = gray_prefix(x, n)
+        s = sd_encode(x)
         node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
         cells = extract_gray(e, node, n, 10**5)
         for got, want in zip(cells, oracle):
@@ -195,11 +196,11 @@ def test_c4_sd_to_gray():
 def test_c5_bot_cell_independence():
     prelude = load_prelude()
     e = prelude.engine
-    _, s = sd_encode(Fraction(0), 0)
+    s = sd_encode(Fraction(0))
     node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
     cells = extract_gray(e, node, 9, 10**4)
     assert cells[0] is None
-    oracle = gray_encode(Fraction(0), 9)[0]
+    oracle = gray_prefix(Fraction(0), 9)
     assert cells[1:] == oracle[1:] and all(c is not None for c in cells[1:])
     return "x=0: cells 1..8 resolve around the unresolved cell 0"
 
@@ -265,7 +266,7 @@ def test_c8_archimedean():
         x = random_rational(rng, 2**16)
         if x == 0:
             continue
-        _, s = sd_encode(x, 0)
+        s = sd_encode(x)
         idx = next(i for i, d in enumerate(s.take(80)) if d != 0)
         node = e.apply(prelude.node("f_d"), sd_star_node(prelude, s))
         v, left = e.collapse_star(node, 10**5)
@@ -277,7 +278,7 @@ def test_c8_archimedean():
         assert v[1] == want, (x, v)
         checked += 1
     # x = 0 diverges at fuel 1e6
-    _, s0 = sd_encode(Fraction(0), 0)
+    s0 = sd_encode(Fraction(0))
     probe = load_prelude()
     node = probe.engine.apply(probe.node("f_d"), sd_star_node(probe, s0))
     assert probe.engine.collapse_star(node, 10**6)[0] is None

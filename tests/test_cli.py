@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -277,3 +278,38 @@ def test_oracle_rejects_bad_digits(prefix, rep, message):
 def test_negative_count_is_a_usage_error(argv, name):
     code, out, err = run(*argv)
     assert code == 2 and out == "" and f"{name}: count must be >= 0" in err
+
+
+@pytest.mark.parametrize("rep, digits", [("sd", "0 0 0 0"), ("gray", "1 1 -1 -1")])
+def test_convert_identity_reads_only_the_prefix(monkeypatch, rep, digits):
+    # the identity prints the input's own cells: no period search, no prelude
+    import ambreal.cli
+    import ambreal.codec
+
+    def unused(*args):
+        raise AssertionError("not needed by the identity")
+
+    monkeypatch.setattr(ambreal.codec, "_orbit", unused)
+    monkeypatch.setattr(ambreal.cli, "load_prelude", unused)
+    assert run("convert", rep, rep, "--value", "1/1000003", "--digits", "4") == (0, digits, "")
+    assert run("convert", rep, rep, "--stream=1;-1", "--digits", "3") == (0, "1 -1 -1", "")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("tree", "[1/0,1]", "sdk", "2", "value"),
+        ("tree", "[0,1]", "sdk", "2", "dist", "--other", "[0,1/0]"),
+    ],
+)
+def test_zero_denominator_in_a_set_is_a_usage_error(argv):
+    code, out, err = run(*argv)
+    assert code == 2 and out == "" and "bad interval literal" in err
+
+
+def test_tree_convert_sdk_deep_is_fast():
+    # one engine conversion per distinct source tree, not one per path
+    start = time.perf_counter()
+    code, out, _ = run("tree", "[-1,1]", "sdk", "8", "convert")
+    assert time.perf_counter() - start < 5
+    assert code == 0 and out.count("(L ") == 2**8 - 1 and "?" not in out

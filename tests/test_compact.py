@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ambreal.codec import BOT_CELL, EPStream, gray_encode, gray_prefix_set, sd_prefix_interval
+from ambreal.codec import BOT_CELL, EPStream, gray_prefix, gray_prefix_set, sd_prefix_interval
 from ambreal.compact import (
     DoubleGray,
     EngineGray,
@@ -20,9 +20,8 @@ from ambreal.compact import (
     hausdorff_trunc,
     restrict,
     sd_tree,
-    sdk_max_stream,
-    sdk_min_stream,
     sdk_negate,
+    sdk_path_stream,
     sdk_tent_child,
     sdk_to_grayk,
     tree_value_set,
@@ -136,16 +135,16 @@ def test_negate_value_law():
 
 
 def test_min_stream_examples():
-    assert sdk_min_stream(sd_tree(FULL)).take(4) == [-1, -1, -1, -1]
-    assert sdk_max_stream(sd_tree(FULL)).take(4) == [1, 1, 1, 1]
-    ms = sdk_min_stream(sd_tree(pt(0)))
+    assert sdk_path_stream(sd_tree(FULL), min).take(4) == [-1, -1, -1, -1]
+    assert sdk_path_stream(sd_tree(FULL), max).take(4) == [1, 1, 1, 1]
+    ms = sdk_path_stream(sd_tree(pt(0)), min)
     assert ms.take(4) == [-1, 1, 1, 1]
     for k in range(1, 10):
         assert sd_prefix_interval(ms.take(k)).contains(0)
-    xs = sdk_max_stream(sd_tree(pt(0)))
+    xs = sdk_path_stream(sd_tree(pt(0)), max)
     for k in range(1, 10):
         assert sd_prefix_interval(xs.take(k)).contains(0)
-    assert sdk_max_stream(sd_tree(pt(-1))).take(3) == [-1, -1, -1]
+    assert sdk_path_stream(sd_tree(pt(-1)), max).take(3) == [-1, -1, -1]
 
 
 def test_min_max_coherence_random():
@@ -153,8 +152,11 @@ def test_min_max_coherence_random():
     for _ in range(20):
         K = random_compact(rng)
         T = sd_tree(K)
-        ms, xs = sdk_min_stream(T), sdk_max_stream(T)
+        ms, xs = sdk_path_stream(T, min), sdk_path_stream(T, max)
         assert isinstance(ms, EPStream) and isinstance(xs, EPStream)
+        # the max path is the mirror of the min path of the negated tree
+        mirror = sdk_path_stream(sdk_negate(T), min)
+        assert xs == EPStream(tuple(-d for d in mirror.pre), tuple(-d for d in mirror.period))
         for k in (4, 10):
             assert sd_prefix_interval(ms.take(k)).contains(K.min())
             assert sd_prefix_interval(xs.take(k)).contains(K.max())
@@ -288,10 +290,10 @@ def test_engine_gray_reads_each_code_cell_once(prelude, monkeypatch):
 
     monkeypatch.setattr(e, "resolve_amb", counted)
     mins = [G.cell_min(i) for i in range(8)]
-    assert mins == list(gray_encode(K.min(), 8)[0])
+    assert mins == gray_prefix(K.min(), 8)
     assert len(calls) == 8  # one spine resolution per cell, none repeated
     assert G.cell_min(3) == mins[3] and len(calls) == 8
-    assert [G.cell_max(i) for i in (5, 2, 7)] == [gray_encode(K.max(), 8)[0][i] for i in (5, 2, 7)]
+    assert [G.cell_max(i) for i in (5, 2, 7)] == [gray_prefix(K.max(), 8)[i] for i in (5, 2, 7)]
     assert len(calls) == 16
 
 
@@ -484,3 +486,34 @@ def test_grayk_to_sdk_shares_subtrees_deep():
                 stack.append(kid)
     # one node per distinct (Gray node, depth): a few per level
     assert 2000 < len(seen) < 10**4
+
+
+class _FreshEngineGray(EngineGray):
+    """The per-path engine conversion: a fresh node on every path."""
+
+    __slots__ = ()
+
+    def child(self, d):
+        return _FreshEngineGray(sdk_tent_child(self.source, d), self.prelude, self.fuel)
+
+
+@settings(max_examples=100, deadline=None)
+@given(unions())
+def test_engine_gray_sharing_matches_per_path_conversion(prelude, K):
+    n, fuel = 3, 10**4
+    G = sdk_to_grayk(sd_tree(K), prelude, fuel)
+    fresh = _FreshEngineGray(sd_tree(K), prelude, fuel)
+    _same_paths(grayk_to_sdk(G, n), _per_path(fresh, n), n)
+    for i in range(4):
+        assert (G.cell_min(i), G.cell_max(i)) == (fresh.cell_min(i), fresh.cell_max(i))
+
+
+def test_engine_gray_one_node_per_source(prelude):
+    # the 511 positions of the tree to depth 8 hold only a few distinct sources
+    level = [sdk_to_grayk(sd_tree(FULL), prelude, 10**4)]
+    nodes = {}
+    for _ in range(8):
+        level = [node.child(d) for node in level for d in (-1, 1) if node.has_child(d)]
+        for node in level:
+            assert nodes.setdefault(node.source, node) is node
+    assert len(level) == 2**8 and len(nodes) < 20

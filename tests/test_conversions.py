@@ -19,6 +19,7 @@ from ambreal.codec import (
     extract_gray,
     extract_sd,
     gray_encode,
+    gray_prefix,
     inject_gray,
     inject_sd,
     sd_encode,
@@ -34,13 +35,13 @@ def sd_star_node(prelude, stream):
 
 
 def run_sd2gray(prelude, x, n, fuel=10**5):
-    _, s = sd_encode(x, 0)
+    s = sd_encode(x)
     node = prelude.engine.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
     return extract_gray(prelude.engine, node, n, fuel)
 
 
 def run_gray2sd(prelude, x, n, fuel=10**5):
-    _, g = gray_encode(x, 0)
+    g = gray_encode(x)
     node = prelude.engine.apply(
         prelude.node("gray2sd"), prelude.engine.load(inject_gray(g, "star"))
     )
@@ -75,7 +76,7 @@ def test_gray_to_sd_oracle(prelude, x):
 def test_sd_to_gray_matches_canonical(prelude, x):
     n = 12
     cells = run_sd2gray(prelude, x, n)
-    oracle = gray_encode(x, n)[0]
+    oracle = gray_prefix(x, n)
     for got, want in zip(cells, oracle):
         if want == BOT_CELL:
             assert got is None
@@ -97,12 +98,12 @@ def test_gray2sd_one(prelude):
 
 def test_bot_cell_independence_at_zero(prelude):
     # x = 0: cell 0 never resolves, cells 1..8 do
-    _, s = sd_encode(Fraction(0), 0)
+    s = sd_encode(Fraction(0))
     e = prelude.engine
     node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
     cells = extract_gray(e, node, 9, 10**4)
     assert cells[0] is None
-    oracle = gray_encode(Fraction(0), 9)[0]
+    oracle = gray_prefix(Fraction(0), 9)
     assert cells[1:] == oracle[1:]
 
 
@@ -116,7 +117,7 @@ def test_random_roundtrip_small_corpus(prelude):
         assert all(d is not None for d in digs)
         assert sd_prefix_interval(digs).contains(x)
         cells = run_sd2gray(prelude, x, 8)
-        oracle = gray_encode(x, 8)[0]
+        oracle = gray_prefix(x, 8)
         for got, want in zip(cells, oracle):
             assert (got is None) == (want == BOT_CELL) and (got is None or got == want)
 
@@ -124,7 +125,7 @@ def test_random_roundtrip_small_corpus(prelude):
 def test_unresolved_cell_stays_unresolved_across_fuels(prelude):
     # dyadic: the unknown position must not resolve however much fuel we pour
     x = Fraction(3, 8)
-    oracle, _ = gray_encode(x, 8)
+    oracle = gray_prefix(x, 8)
     j = oracle.index(BOT_CELL)
     for fuel in (10**3, 10**5):
         cells = run_sd2gray(prelude, x, j + 1, fuel=fuel)
@@ -157,4 +158,4 @@ def test_long_period_stream_loads():
     )
     assert run.returncode == 0, run.stderr[-2000:]
     # (1, 0, -1) repeated has the value of its one-period stream, 3/7
-    assert run.stdout.split("\n")[0] == str(gray_encode(Fraction(3, 7), 6)[0])
+    assert run.stdout.split("\n")[0] == str(gray_prefix(Fraction(3, 7), 6))

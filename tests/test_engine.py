@@ -576,7 +576,7 @@ def test_collapse_fuel_left(prelude):
     e = p.engine
     got = []
     for x in (Fraction(1, 3), Fraction(1, 64), Fraction(-7, 32), Fraction(0)):
-        _, s = sd_encode(x, 0)
+        s = sd_encode(x)
         n = e.apply(p.node("f_d"), e.apply(p.node("sd_emb"), e.load(inject_sd(s))))
         status, v, left = _stepcore.collapse_node(n, 10**4)
         got.append((status, v and e.view(v)[1], left))

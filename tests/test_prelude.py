@@ -104,7 +104,7 @@ def test_run_sd_neg(prelude):
     from ambreal.codec import extract_sd, sd_prefix_interval
 
     x = Fraction(1, 2)
-    _, s = sd_encode(x, 0)
+    s = sd_encode(x)
     e = prelude.engine
     node = e.apply(
         prelude.node("sd_neg"),
@@ -217,7 +217,7 @@ def test_caibs_linear_fuel(prelude):
     budgets = []
     for k in (2, 6, 10, 14, 18, 22):
         x = Fraction(1, 2**k)
-        _, s = sd_encode(x, 0)
+        s = sd_encode(x)
         idx = next(i for i, d in enumerate(s.take(64)) if d != 0)
         node = e.apply(
             prelude.node("f_d"),
@@ -232,7 +232,7 @@ def test_caibs_linear_fuel(prelude):
 
 
 def test_caibs_zero_diverges(prelude):
-    _, s = sd_encode(Fraction(0), 0)
+    s = sd_encode(Fraction(0))
     for fuel in (10**3, 10**4, 10**6):
         e = prelude.engine
         node = e.apply(
