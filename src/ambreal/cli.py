@@ -45,6 +45,15 @@ DEFAULT_DEPTH = 16
 # deepest tree that tree ... encode|convert prints: a dump has up to 3^depth
 # nodes ([-1,1] has that many), so depth 12 is already ~17 MB of text
 DUMP_DEPTH_LIMIT = 12
+# most digits that encode prints with their hull: the hull's endpoints have
+# numerators of up to N+1 bits, and Python prints an int of at most 4 300
+# decimal digits (~14 280 bits) by default
+ENCODE_DIGIT_LIMIT = 10_000
+# largest denominator of a convert --value between sd and gray: the engine
+# loads the whole period of the stream, which can be as long as the
+# denominator (1/262139 has a 262 138-digit signed-digit period: ~1.6 s
+# and ~100 MB)
+VALUE_DENOMINATOR_LIMIT = 2**18
 
 
 class CliError(Exception):
@@ -77,6 +86,8 @@ def _digit_str(d, rep) -> str:
 def cmd_encode(args) -> int:
     x = _frac(args.value)
     n = args.digits
+    if n > ENCODE_DIGIT_LIMIT:
+        raise CliError(f"encode prints {n} digits and their hull; the limit is {ENCODE_DIGIT_LIMIT}")
     if args.rep == "sd":
         digits = sd_prefix(x, n)
         hull = sd_prefix_interval(digits)
@@ -93,6 +104,10 @@ def _input_stream(args, rep) -> tuple:
     """Returns (stream, exact value)."""
     if args.value is not None:
         x = _frac(args.value)
+        if x.denominator > VALUE_DENOMINATOR_LIMIT:
+            raise CliError(
+                f"--value {x} has denominator {x.denominator}; the limit is {VALUE_DENOMINATOR_LIMIT}"
+            )
         return (sd_encode if rep == "sd" else gray_encode)(x), x
     if args.stream is not None:
         stream = parse_stream(args.stream, rep)

@@ -198,27 +198,25 @@ def gray_encode(x) -> EPStream:
 
 
 def sd_prefix_interval(w: Sequence[int]) -> IntervalSet:
-    """Exact image of [-1,1] under the affine maps of a signed digit word."""
-    lo, hi = Fraction(-1), Fraction(1)
+    """Exact image of [-1,1] under the affine maps of a signed digit word,
+    in one integer pass: endpoint numerators over q = 2^len(w)."""
+    lo, hi, q = -1, 1, 1
     for d in reversed(list(w)):
-        lo, hi = (lo + d) / 2, (hi + d) / 2
-    return IntervalSet([(lo, hi)])
+        # (a/q + d)/2 = (a + d*q)/(2q)
+        lo, hi, q = lo + d * q, hi + d * q, 2 * q
+    return IntervalSet([(Fraction(lo, q), Fraction(hi, q))])
 
 
 def gray_prefix_set(cells: Sequence[int]) -> IntervalSet:
-    """Union over all resolutions of bot cells of the gray map images."""
-    sets = [(Fraction(-1), Fraction(1))]
+    """Union over all resolutions of bot cells of the gray map images, in
+    one integer pass: endpoint numerators over q = 2^len(cells)."""
+    sets, q = [(-1, 1)], 1
     for c in reversed(list(cells)):
         branches = (-1, 1) if c == BOT_CELL else (c,)
-        nxt = []
-        for lo, hi in sets:
-            for cc in branches:
-                # g_c(x) = -c*(x-1)/2
-                u = Fraction(-cc, 2) * (lo - 1)
-                v = Fraction(-cc, 2) * (hi - 1)
-                nxt.append((min(u, v), max(u, v)))
-        sets = nxt
-    return IntervalSet(sets)
+        # g_c(a/q) = -c*(a/q - 1)/2 = c*(q - a)/(2q)
+        sets = [tuple(sorted((cc * (q - lo), cc * (q - hi)))) for lo, hi in sets for cc in branches]
+        q *= 2
+    return IntervalSet([(Fraction(lo, q), Fraction(hi, q)) for lo, hi in sets])
 
 
 # ---------------------------------------------------------------------------

@@ -11,13 +11,15 @@ so rational inputs produce cyclic graphs; streams read off such trees are
 eventually periodic and can be fed to the engine.  Syntactic transforms
 (negate, tent-child) preserve the cycles through per-node caches, and
 the Gray trees share their nodes the same way: OracleGray by set,
-EngineGray by source tree, so an engine conversion loads and converts
-the min/max codes of each distinct source once.  No tree is ever copied
-to a depth: every reader (tree_value_set, hausdorff_trunc, the CLI's
-dumps) takes the depth it reads to, so its cost follows the distinct
-nodes it meets, not the 3^n paths below the root.  The only finite
-trees are grayk_to_sdk's depth-n outputs, whose leaves raise
-TruncatedTree when asked for a child.  Such an output is a DAG: it holds
+EngineGray by source tree.  The min/max digit streams read off a tree
+are minimal EPStreams (shortest period, then shortest pre-period), so
+one digit sequence is one value, and an engine conversion loads and
+converts each distinct stream once, whichever nodes and codes read it.
+No tree is ever copied to a depth: every reader (tree_value_set,
+hausdorff_trunc, the CLI's dumps) takes the depth it reads to, so its
+cost follows the distinct nodes it meets, not the 3^n paths below the
+root.  The only finite trees are grayk_to_sdk's depth-n outputs, whose
+leaves raise TruncatedTree when asked for a child.  Such an output is a DAG: it holds
 one node per distinct (Gray node, remaining depth), shared by every path
 that reaches that pair, with the digit set the per-path conversion gives
 on each path; it is built level by level, so depth is no recursion.
@@ -181,9 +183,10 @@ STREAM_LIMIT = 4096
 
 def sdk_path_stream(T: SDTree, pick):
     """Digits of the path that takes pick(digits) (min or max) at each
-    node: an EPStream when the walk becomes cyclic, otherwise (for
-    truncated input or beyond STREAM_LIMIT digits) the list of digits
-    seen."""
+    node: the minimal EPStream (shortest period, then shortest pre-period)
+    when the walk becomes cyclic, so one digit sequence is one value
+    whatever tree nodes it passes; otherwise (for truncated input or
+    beyond STREAM_LIMIT digits) the list of digits seen."""
     digits = []
     seen = {}
     node = T
@@ -191,7 +194,7 @@ def sdk_path_stream(T: SDTree, pick):
         key = id(node)
         if key in seen:
             k = seen[key]
-            return EPStream(tuple(digits[:k]), tuple(digits[k:]))
+            return _minimal(tuple(digits[:k]), tuple(digits[k:]))
         seen[key] = i
         d = pick(node.digits)
         digits.append(d)
@@ -200,6 +203,18 @@ def sdk_path_stream(T: SDTree, pick):
         except TruncatedTree:
             return digits
     return digits
+
+
+def _minimal(pre: tuple, period: tuple) -> EPStream:
+    """pre . period^omega with its shortest period, whose length divides
+    len(period), then its shortest pre-period: a last pre digit equal to
+    the period's last digit rolls into the period."""
+    n = len(period)
+    p = next(p for p in range(1, n + 1) if n % p == 0 and period == period[:p] * (n // p))
+    period = period[:p]
+    while pre and pre[-1] == period[-1]:
+        pre, period = pre[:-1], pre[-1:] + period[:-1]
+    return EPStream(pre, period)
 
 
 AV_CODED = {-1: (HALF, Fraction(-1, 2)), 0: (HALF, Fraction(0)), 1: (HALF, HALF)}
@@ -428,15 +443,19 @@ class EngineGray:
     Codes are engine conversions (sd2gray) of the tree's min/max digit
     streams; children follow the digit-set certificates and the syntactic
     tent-child transform.  One memo per conversion shares the nodes by
-    source tree, as OracleGray's does by set, so each distinct source is
-    converted once.  The memo holds nodes weakly and child slots hold
-    only the children a node made, so shared nodes form no reference
-    cycle, even where the source tree is cyclic.
+    source tree, as OracleGray's does by set, and a second one shares the
+    codes by stream: each distinct minimal stream is loaded, converted
+    and read once, for every node and code (min or max) that has it.
+    Every node of a conversion reads with the same fuel, one budget per
+    cell and the cells in order, so a shared code gives each reader the
+    cells it would read alone.  The node memo holds nodes weakly and
+    child slots hold only the children a node made, so shared nodes form
+    no reference cycle, even where the source tree is cyclic.
     """
 
-    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids", "_memo", "__weakref__")
+    __slots__ = ("source", "prelude", "fuel", "_cells", "_kids", "_memo", "_codes", "__weakref__")
 
-    def __init__(self, source: SDTree, prelude, fuel=10**6, _memo=None):
+    def __init__(self, source: SDTree, prelude, fuel=10**6, _memo=None, _codes=None):
         self.source = source
         self.prelude = prelude
         self.fuel = fuel
@@ -444,9 +463,9 @@ class EngineGray:
         self._kids = {}
         self._memo = weakref.WeakValueDictionary() if _memo is None else _memo
         self._memo[source] = self
+        self._codes = {} if _codes is None else _codes
 
-    def _code_node(self, pick):
-        stream = sdk_path_stream(self.source, pick)
+    def _code_node(self, stream):
         if isinstance(stream, EPStream):
             src = inject_sd(stream)
         else:  # truncated walk: finite prefix, divergent tail
@@ -458,15 +477,21 @@ class EngineGray:
         )
 
     def _cell(self, pick, i):
-        # the cells read so far and the unread spine tail (None once the
-        # spine stays Unresolved): each cell is read once, with one budget
-        if pick not in self._cells:
-            self._cells[pick] = ([], self._code_node(pick))
-        cells, tail = self._cells[pick]
+        # the conversion's record of this code's stream: the cells read so
+        # far and the unread spine tail (None once the spine stays
+        # Unresolved); each cell is read once, with one budget
+        code = self._cells.get(pick)
+        if code is None:
+            stream = sdk_path_stream(self.source, pick)
+            key = stream if isinstance(stream, EPStream) else tuple(stream)
+            code = self._codes.get(key)
+            if code is None:
+                code = self._codes[key] = [[], self._code_node(stream)]
+            self._cells[pick] = code
+        cells, tail = code
         if len(cells) <= i and tail is not None:
-            got, tail = read_gray(self.prelude.engine, tail, i + 1 - len(cells), self.fuel)
+            got, code[1] = read_gray(self.prelude.engine, tail, i + 1 - len(cells), self.fuel)
             cells.extend(got)
-            self._cells[pick] = (cells, tail)
         return cells[i] if i < len(cells) else None
 
     def cell_min(self, i):
@@ -484,7 +509,9 @@ class EngineGray:
             source = sdk_tent_child(self.source, d)
             node = self._memo.get(source)
             if node is None:
-                node = self._kids[d] = EngineGray(source, self.prelude, self.fuel, self._memo)
+                node = self._kids[d] = EngineGray(
+                    source, self.prelude, self.fuel, self._memo, self._codes
+                )
         return node
 
 

@@ -9,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from ambreal.cli import DUMP_DEPTH_LIMIT, main
+from ambreal.cli import DUMP_DEPTH_LIMIT, ENCODE_DIGIT_LIMIT, VALUE_DENOMINATOR_LIMIT, main
+from ambreal.codec import gray_prefix
 from ambreal.intervals import hausdorff_sets, parse_interval_set
 
 
@@ -43,6 +44,33 @@ def test_encode_prefix_of_a_long_period():
     assert run("encode", "1/1000003", "sd", "8") == (0, "0 0 0 0 0 0 0 0\n[-1/256,1/256]", "")
     code, out, _ = run("encode", "-1/1000003", "gray", "3")
     assert code == 0 and out.splitlines()[0] == "-1 1 -1"
+
+
+@pytest.mark.parametrize("rep", ["sd", "gray"])
+def test_encode_at_the_digit_limit_prints_its_hull(rep):
+    n = ENCODE_DIGIT_LIMIT
+    code, out, _ = run("encode", "1/3", rep, str(n))
+    assert code == 0
+    digits, hull = out.splitlines()
+    assert len(digits.split()) == n
+    lo, hi = (Fraction(e) for e in hull.strip("[]").split(","))
+    # 1/3 has no bot cell: the hull is one interval of width 2^(1-n)
+    assert lo < Fraction(1, 3) < hi and hi - lo == Fraction(2, 2**n)
+
+
+@pytest.mark.parametrize("rep", ["sd", "gray"])
+@pytest.mark.parametrize("n", [14291, 20000, 10**6])
+def test_encode_above_the_digit_limit_prints_nothing(monkeypatch, rep, n):
+    # checked before any digit is computed: 10^6 digits take no time
+    import ambreal.cli
+
+    def unused(*args):
+        raise AssertionError("no digit is computed above the limit")
+
+    monkeypatch.setattr(ambreal.cli, f"{rep}_prefix", unused)
+    code, out, err = run("encode", "1/3", rep, str(n))
+    assert code == 2 and out == ""
+    assert f"the limit is {ENCODE_DIGIT_LIMIT}" in err
 
 
 def test_encode_domain_error():
@@ -278,6 +306,28 @@ def test_oracle_rejects_bad_digits(prefix, rep, message):
 def test_negative_count_is_a_usage_error(argv, name):
     code, out, err = run(*argv)
     assert code == 2 and out == "" and f"{name}: count must be >= 0" in err
+
+
+@pytest.mark.parametrize("src, dst", [("sd", "gray"), ("gray", "sd")])
+def test_convert_value_above_the_denominator_limit(monkeypatch, src, dst):
+    # the engine would load the whole ~10^6-cell period: refused before
+    # the orbit is walked
+    import ambreal.codec
+
+    def unused(*args):
+        raise AssertionError("no orbit is walked above the limit")
+
+    monkeypatch.setattr(ambreal.codec, "_orbit", unused)
+    code, out, err = run("convert", src, dst, "--value", "1/1000003", "--digits", "4")
+    assert code == 2 and out == ""
+    assert f"denominator 1000003; the limit is {VALUE_DENOMINATOR_LIMIT}" in err
+
+
+def test_convert_value_at_the_denominator_limit():
+    assert VALUE_DENOMINATOR_LIMIT > 131071
+    x = Fraction(1, VALUE_DENOMINATOR_LIMIT)
+    code, out, _ = run("convert", "sd", "gray", "--value", str(x), "--digits", "4")
+    assert code == 0 and out == " ".join(str(c) for c in gray_prefix(x, 4))
 
 
 @pytest.mark.parametrize("rep, digits", [("sd", "0 0 0 0"), ("gray", "1 1 -1 -1")])

@@ -517,3 +517,68 @@ def test_engine_gray_one_node_per_source(prelude):
         for node in level:
             assert nodes.setdefault(node.source, node) is node
     assert len(level) == 2**8 and len(nodes) < 20
+
+
+def _walk(T, pick, n):
+    out = []
+    for _ in range(n):
+        d = pick(T.digits)
+        out.append(d)
+        T = T.child(d)
+    return out
+
+
+@settings(max_examples=150, deadline=None)
+@given(unions(), st.sampled_from([min, max]))
+def test_path_stream_is_minimal(K, pick):
+    T = sd_tree(K)
+    s = sdk_path_stream(T, pick)
+    assert isinstance(s, EPStream)
+    pre, per = s.pre, s.period
+    k = len(per)
+    assert all(k % p or per != per[:p] * (k // p) for p in range(1, k))
+    assert not pre or pre[-1] != per[-1]
+    n = len(pre) + 2 * k + 8
+    assert s.take(n) == _walk(T, pick, n)
+
+
+def test_path_stream_minimal_examples():
+    # [-1,-3/4]'s min path passes four nodes before its cycle, on -1 digits
+    assert sdk_path_stream(sd_tree(IntervalSet([(-1, Fraction(-3, 4))])), min) == EPStream((), (-1,))
+    assert sdk_path_stream(sd_tree(pt(0)), min) == EPStream((-1,), (1,))
+    assert sdk_path_stream(sd_tree(pt(Fraction(1, 3))), max) == EPStream((1,), (0, -1))
+
+
+@pytest.mark.parametrize(
+    "K",
+    [
+        FULL,
+        pt(1),
+        pt(Fraction(1, 3)),
+        IntervalSet([(Fraction(-3, 4), Fraction(-1, 4)), (Fraction(1, 8), Fraction(5, 8))]),
+        IntervalSet([(Fraction(-1, 5), Fraction(2, 3))]),
+    ],
+)
+def test_one_conversion_loads_one_code_per_stream(prelude, monkeypatch, K):
+    e = prelude.engine
+    for name in ("sd2gray", "sd_emb"):
+        prelude.node(name)  # the programs load once per prelude, not here
+    loads = []
+    load = e.load
+
+    def counted(term):
+        loads.append(term)
+        return load(term)
+
+    monkeypatch.setattr(e, "load", counted)
+    T = sd_tree(K)
+    G = sdk_to_grayk(T, prelude, 10**4)
+    if sdk_path_stream(T, min) == sdk_path_stream(T, max):
+        # a node's min and max code share one load
+        assert (G.cell_min(0), G.cell_max(0)) == (1, 1) and len(loads) == 1
+    grayk_to_sdk(G, 4)
+    # every node the conversion built is in its memo while the root lives;
+    # the codes it read are the (node, pick) pairs with cells
+    codes = [(node, pick) for node in G._memo.values() for pick in node._cells]
+    streams = {sdk_path_stream(node.source, pick) for node, pick in codes}
+    assert len(loads) == len(streams) < len(codes)
