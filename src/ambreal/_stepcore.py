@@ -17,8 +17,9 @@ frozen as divergent.
 Divergence is detected eagerly where sound: a node whose step is the
 identity (bot, a stuck application, a frozen scrutinee matching no clause)
 is flagged quiescent, a fuel loop that observes a no-progress tick drains
-the remaining fuel in one go, and a cycle of indirections becomes bot.
-None of this changes results, only the cost of reporting Unresolved.
+the remaining fuel in one go, and an Amb node that wins its own race
+becomes bot.  None of this changes results, only the cost of reporting
+Unresolved.
 
 Two choices keep the per-tick work small without moving a tick.  A
 child position whose code is a variable is linked straight to its
@@ -83,28 +84,14 @@ def mk_app(f, a):
 
 
 def follow(n):
+    """The node at the end of n's indirections, compressing the path onto
+    it.  No chain of indirections is a cycle (see resolve_node), so the
+    walk ends."""
     if n.kind != IND:
         return n
     start = n
-    hops = 0
     while n.kind == IND:
         n = n.code
-        hops += 1
-        if hops > 64:  # possible cycle: walk again with a visited set
-            seen = {id(start)}
-            m = start
-            while m.kind == IND:
-                m = m.code
-                if id(m) in seen:
-                    m.kind = BOT
-                    m.q = True
-                    m.code = None
-                    break
-                seen.add(id(m))
-            n = start
-            while n.kind == IND:
-                n = n.code
-            break
     while start.kind == IND:  # path compression
         nxt = start.code
         start.code = n
@@ -267,7 +254,7 @@ def _broadcast(c):
         else:
             if _step(ch):
                 prog = True
-            if not follow(ch).q:
+            if not ch.q:
                 allq = False
     if ARITY_OF[c.tag] > 1:
         ch = head(c.k1)
@@ -279,7 +266,7 @@ def _broadcast(c):
             else:
                 if _step(ch):
                     prog = True
-                if not follow(ch).q:
+                if not ch.q:
                     allq = False
     if allq and not prog:
         c.q = True
@@ -287,25 +274,23 @@ def _broadcast(c):
 
 
 def _step(x):
-    """One step at x.  Returns False iff x is frozen: nothing changed and
-    nothing ever will.
+    """One step at x, a node in head form.  Returns False iff x is frozen:
+    nothing changed and nothing ever will.
 
-    Every caller skips quiescent nodes, and lambda and bot nodes are
-    quiescent from birth, so x and each node of the congruence spine below
-    it is a constructor, rec, application or case; the final return
-    covers any other kind."""
-    x = head(x)
+    No quiescent node and no nullary constructor reaches _step: every
+    caller, and the descent below, skips quiescent nodes; _expose makes
+    lambdas, bot and nullary constructors quiescent at birth, and q is
+    never reset.  So x and each node of the congruence spine below it is
+    a constructor with children, a rec, an application or a case; the
+    final return covers any other kind.  A step never turns x into an
+    indirection (only resolve_node's commitment does), so a caller reads
+    x.q afterwards with no follow."""
     path = None
     while True:
         if x.gen == _tick:
             return True  # this spine's step already happened via sharing
         k = x.kind
         if k == CON:
-            if x.q:
-                return False
-            if ARITY_OF[x.tag] == 0:
-                x.q = True
-                return False
             x.gen = _tick
             return _broadcast(x)
         if k == REC:
@@ -404,8 +389,7 @@ def resolve_node(x, fuel):
             return None, 0
         if x.kind != CON or x.tag != AMB:
             return x, fuel
-        won = None
-        while won is None:
+        while True:
             a = head(x.k0)
             x.k0 = a
             if a.kind == CON or a.kind == LAM:
@@ -422,11 +406,23 @@ def resolve_node(x, fuel):
             _tick += 1
             if not _step(x):
                 return None, 0
+        x.k0 = None
+        x.k1 = None
+        # Only this commitment and _expose's VAR_ arm make an indirection.
+        # _expose refuses a target whose chain ends at the node itself, and
+        # path compression only shortens chains, so the indirections form
+        # no cycle; and won is in head form, never an indirection, so
+        # pointing x at it closes a cycle only if won is x.  That is an
+        # Amb that wins its own race: rec (fun s -> Amb(s, bot)), or the
+        # inner Amb of rec (fun s -> Amb(Amb(s, bot), bot)) on the next
+        # round.  Resolving it only resolves it again, so x becomes bot.
+        if won is x:
+            x.kind = BOT
+            x.q = True
+            return None, 0
         # commitment: the Amb node becomes its chosen branch for good
         x.kind = IND
         x.code = won
-        x.k0 = None
-        x.k1 = None
         x = won
 
 

@@ -209,12 +209,20 @@ def sd_prefix_interval(w: Sequence[int]) -> IntervalSet:
 
 def gray_prefix_set(cells: Sequence[int]) -> IntervalSet:
     """Union over all resolutions of bot cells of the gray map images, in
-    one integer pass: endpoint numerators over q = 2^len(cells)."""
+    one integer pass: endpoint numerators over q = 2^len(cells).  Meeting
+    intervals are merged after each cell (each g_c maps a union to the
+    union of the images), so k bot cells cost no 2^k branches."""
     sets, q = [(-1, 1)], 1
     for c in reversed(list(cells)):
         branches = (-1, 1) if c == BOT_CELL else (c,)
         # g_c(a/q) = -c*(a/q - 1)/2 = c*(q - a)/(2q)
-        sets = [tuple(sorted((cc * (q - lo), cc * (q - hi)))) for lo, hi in sets for cc in branches]
+        images = sorted(tuple(sorted((cc * (q - lo), cc * (q - hi)))) for lo, hi in sets for cc in branches)
+        sets = images[:1]
+        for lo, hi in images[1:]:
+            if lo <= sets[-1][1]:
+                sets[-1] = (sets[-1][0], max(sets[-1][1], hi))
+            else:
+                sets.append((lo, hi))
         q *= 2
     return IntervalSet([(Fraction(lo, q), Fraction(hi, q)) for lo, hi in sets])
 

@@ -527,7 +527,9 @@ def _probe_digits(G) -> frozenset:
     """Select a digit set from the four sign probes, in the fixed priority.
 
     Probe values: -1 / +1 for a resolved sign, None while unresolved.  For
-    canonically encoded trees at least one case always fires.
+    canonically encoded trees at least one case always fires.  A case is
+    tried only when every earlier one did not fire, so C01 and C11 run
+    with M0 unresolved, C10 and C11 with m0 unresolved.
     """
     m0, m1 = G.cell_min(0), G.cell_min(1)
     M0, M1 = G.cell_max(0), G.cell_max(1)
@@ -545,16 +547,12 @@ def _probe_digits(G) -> frozenset:
             return frozenset({1})
         if M1 > 0:  # |max| <= 1/2
             return frozenset({-1, 0})
-        if M0 is not None:  # |max| >= 1/2 so max != 0: M0 resolves
-            return frozenset({-1, 1}) if M0 > 0 else frozenset({-1})
     # C10: sign of t(min), sign of max
     if m1 is not None and M0 is not None:
         if M0 < 0:
             return frozenset({-1})
         if m1 > 0:  # |min| <= 1/2
             return frozenset({0, 1})
-        if m0 is not None:
-            return frozenset({-1, 1}) if m0 < 0 else frozenset({1})
     # C11: signs of t(min), t(max)
     if m1 is not None and M1 is not None:
         if m1 > 0 and M1 > 0:
@@ -563,12 +561,6 @@ def _probe_digits(G) -> frozenset:
             return frozenset({0, 1})
         if M1 > 0:  # |min| >= 1/2, min <= 0
             return frozenset({-1, 0})
-        if m0 is not None and M0 is not None:
-            if m0 > 0:
-                return frozenset({1})
-            if M0 < 0:
-                return frozenset({-1})
-            return frozenset({-1, 1})
     raise UnresolvedNode("no probe case resolved")
 
 

@@ -146,10 +146,7 @@ def compile_term(t: Term, scope=()):
     if isinstance(t, Case):
         clauses = []
         for c in t.clauses:
-            binders = pattern_vars(c.pattern)
-            if len(binders) > 32:
-                raise EngineError("pattern binds more than 32 variables")
-            inner = tuple(reversed(binders)) + tuple(scope)
+            inner = tuple(reversed(pattern_vars(c.pattern))) + tuple(scope)
             clauses.append((compile_pattern(c.pattern), compile_term(c.body, inner)))
         return (_core.CASE_, compile_term(t.scrutinee, scope), _core.dispatch(clauses))
     raise TypeError(t)

@@ -178,6 +178,27 @@ def test_tree_dist():
     assert out == "0"
 
 
+def test_tree_encode_sdk():
+    code, out, _ = run("tree", "[1/3,1/2]", "sdk", "2", "encode")
+    assert code == 0
+    assert out == (
+        "(E=0,1 (child 0 (E=1 (child 1 (E=0,1))))"
+        " (child 1 (E=-1,0,1 (child -1 (E=0,1)) (child 0 (E=-1,0,1)) (child 1 (E=-1)))))"
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("tree", "[0,1]", "sdk", "3", "dist"), "dist needs --other"),
+        (("tree", "[0,1]", "grayk", "3", "dist", "--other", "[0,1/2]"), "dist is defined on sdk trees"),
+    ],
+)
+def test_tree_dist_usage_errors(argv, message):
+    code, out, err = run(*argv)
+    assert code == 2 and out == "" and message in err
+
+
 def test_tree_convert_sdk():
     code, out, _ = run("tree", "[1/3,1/3]", "sdk", "2", "convert")
     assert code == 0 and out.startswith("(min=1 1 1")
@@ -270,6 +291,12 @@ def test_oracle_examples():
 def test_oracle_bot_cells():
     code, out, _ = run("oracle", "_,1", "gray")
     assert code == 0 and out == "[-1/2,1/2]"
+
+
+def test_oracle_many_bot_cells_is_fast():
+    start = time.perf_counter()
+    assert run("oracle", ",".join(["_"] * 40), "gray") == (0, "[-1,1]", "")
+    assert time.perf_counter() - start < 1
 
 
 def test_usage_error_exit_two():

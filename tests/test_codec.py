@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -176,6 +177,25 @@ def test_gray_prefix_examples():
     for n in range(5):
         cells = [-1, 1] + [-1] * n
         assert gray_prefix_set(cells) == IntervalSet([(-Fraction(1, 2 ** (n + 1)), 0)])
+
+
+def _gray_prefix_union(cells):
+    # every resolution of the bot cells, each image of [-1,1] under the
+    # gray maps g_c(x) = c(1 - x)/2 composed from the last cell in
+    parts = []
+    for signs in itertools.product((-1, 1), repeat=cells.count(BOT_CELL)):
+        it = iter(signs)
+        lo, hi = Fraction(-1), Fraction(1)
+        for c in reversed([next(it) if c == BOT_CELL else c for c in cells]):
+            lo, hi = sorted((c * (1 - lo) / 2, c * (1 - hi) / 2))
+        parts.append((lo, hi))
+    return IntervalSet(parts)
+
+
+def test_gray_prefix_set_matches_brute_force_union():
+    for n in range(7):
+        for cells in itertools.product((-1, 1, BOT_CELL), repeat=n):
+            assert gray_prefix_set(cells) == _gray_prefix_union(list(cells)), cells
 
 
 def test_prefix_hull_examples():

@@ -3,16 +3,19 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ambreal.codec import BOT_CELL, EPStream, gray_prefix, gray_prefix_set, sd_prefix_interval
 from ambreal.compact import (
+    II,
+    STREAM_LIMIT,
     DoubleGray,
     EngineGray,
     NegGray,
     OracleGray,
     SDTree,
     TruncatedTree,
+    UnresolvedNode,
     _neg,
     _probe_digits,
     grayk_to_sdk,
@@ -308,6 +311,29 @@ def test_sdk_to_grayk_value_agreement(prelude):
         assert hausdorff_sets(V, W) <= Fraction(4, 2**n)
 
 
+def test_sdk_to_grayk_long_period_min_path(prelude):
+    # the doubling map mod 4099 has period 4098 > STREAM_LIMIT, so the min
+    # path of {1/4099} comes back as a list of digits, loaded with a bot
+    # tail; its first cells are still exact
+    x = Fraction(1, 4099)
+    T = sd_tree(pt(x))
+    path = sdk_path_stream(T, min)
+    assert isinstance(path, list) and len(path) == STREAM_LIMIT
+    G = sdk_to_grayk(T, prelude, fuel=10**4)
+    assert [G.cell_min(i) for i in range(4)] == gray_prefix(x, 4) == [1, 1, -1, -1]
+
+
+def test_sdk_to_grayk_truncated_paths(prelude):
+    # a depth-3 tree's min path ends after 4 digits: the cells read are
+    # the exact cells of -1 or Unresolved, never a wrong cell
+    T = grayk_to_sdk(gray_lazy(FULL), 3)
+    assert sdk_path_stream(T, min) == [-1, -1, -1, -1]
+    G = sdk_to_grayk(T, prelude, fuel=10**4)
+    got = [G.cell_min(i) for i in range(5)]
+    assert got == [-1, -1, -1, -1, None]
+    assert all(c is None or c == want for c, want in zip(got, gray_prefix(-1, 5)))
+
+
 def test_grayk_to_sdk_examples():
     T = grayk_to_sdk(gray_lazy(FULL), 8)
     assert T.digits in ({-1, 1}, {-1, 0, 1})
@@ -371,7 +397,15 @@ def test_neg_gray_wrapper():
 
 
 def test_double_gray_wrapper():
-    for K in (FULL, pt(0), IntervalSet([(Fraction(-1, 4), Fraction(1, 4))])):
+    # [1/4,1] has no left grandchild (cell_min reads the right one) and
+    # [-1,-1/4] no right grandchild (cell_max reads the left one)
+    for K in (
+        FULL,
+        pt(0),
+        IntervalSet([(Fraction(-1, 4), Fraction(1, 4))]),
+        IntervalSet([(Fraction(1, 4), 1)]),
+        IntervalSet([(-1, Fraction(-1, 4))]),
+    ):
         if not restrict(K, 0):
             continue
         D = DoubleGray(gray_lazy(K))
@@ -506,6 +540,41 @@ def test_engine_gray_sharing_matches_per_path_conversion(prelude, K):
     _same_paths(grayk_to_sdk(G, n), _per_path(fresh, n), n)
     for i in range(4):
         assert (G.cell_min(i), G.cell_max(i)) == (fresh.cell_min(i), fresh.cell_max(i))
+
+
+class _Cells:
+    """A Gray node whose first two min and max cells are given, None where
+    unresolved."""
+
+    def __init__(self, mins, maxs):
+        self.mins, self.maxs = mins, maxs
+
+    def cell_min(self, i):
+        return self.mins[i]
+
+    def cell_max(self, i):
+        return self.maxs[i]
+
+
+@settings(max_examples=300, deadline=None)
+@given(unions(), st.lists(st.booleans(), min_size=4, max_size=4))
+@example(IntervalSet([(Fraction(-3, 4), Fraction(-1, 4))]), [True, False, False, False])
+def test_probe_digits_sound_on_unresolved_cells(K, hide):
+    # the exact first two cells of min K and max K, a bot cell as None and
+    # any cell hidden as None, as when fuel runs out on a defined cell:
+    # the table either gives up, or picks digits whose intervals cover K,
+    # each meeting K
+    def cells(x, mask):
+        return [None if c == BOT_CELL or h else c for c, h in zip(gray_prefix(x, 2), mask)]
+
+    node = _Cells(cells(K.min(), hide[:2]), cells(K.max(), hide[2:]))
+    try:
+        E = _probe_digits(node)
+    except UnresolvedNode:
+        return
+    cover = IntervalSet([II[d] for d in E])
+    assert all(any(a <= lo and hi <= b for a, b in cover.intervals) for lo, hi in K.intervals)
+    assert all(restrict(K, d) for d in E)
 
 
 def test_engine_gray_one_node_per_source(prelude):

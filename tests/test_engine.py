@@ -205,9 +205,10 @@ def test_collapse_two_levels(e):
     assert v[1] == "Right"
 
 
-def test_collapse_unresolved(e):
-    t = parse_term("Amb(bot, Right(Amb(bot, bot)))")
-    assert e.collapse_star(t, 10**5)[0] is None
+# the second resolves to Left at once, but its payload is bot
+@pytest.mark.parametrize("src", ["Amb(bot, Right(Amb(bot, bot)))", "Amb(Left(bot), bot)"])
+def test_collapse_unresolved(e, src):
+    assert e.collapse_star(parse_term(src), 10**5) == (None, 0)
 
 
 def test_collapse_malformed(e):
@@ -229,13 +230,17 @@ def test_collapse_recurring_state_unresolved(e):
     assert e.collapse_star(t, 10**4) == (None, 0)
 
 
+@pytest.mark.parametrize(
+    "src", ["rec (fun s -> Amb(s, bot))", "rec (fun s -> Amb(Amb(s, bot), bot))"]
+)
 @pytest.mark.parametrize("method", ["resolve_amb", "collapse_star"])
-def test_indirection_cycle_cut_off(e, method):
-    # committing the Amb to its left arm, the stream itself, closes a cycle
-    # of indirections, which follow turns into bot
-    t = parse_term("rec (fun s -> Amb(s, bot))")
+def test_indirection_cycle_cut_off(e, method, src):
+    # the Amb's left arm is the stream itself (in the nested stream, the
+    # inner Amb's arm is the outer Amb, which commits to the inner one),
+    # so an Amb node wins its own race: committing it would close a cycle
+    # of indirections, and resolve_node makes it bot instead
     start = _stepcore._tick
-    assert getattr(e, method)(t, 10**4) == (None, 0)
+    assert getattr(e, method)(parse_term(src), 10**4) == (None, 0)
     assert _stepcore._tick - start <= 10
 
 
@@ -452,10 +457,28 @@ def slow_terms():
 # on it; a cut-off that fired on it would be unsound.
 SLOW_HEAD = App(COUNTDOWN, _nat(200))
 
+# terms whose shared argument SLOW (three beta steps from Left(Nil)) is
+# met twice in one tick, so the generation stamp skips the second visit:
+# in _broadcast's first child, in its second child (under resolve_amb),
+# and as a node of _step's congruence spine.  Fuel left is pinned below.
+SLOW = "((fun a -> (fun b -> (fun c -> c) b) a) Left(Nil))"
+STAMP_K0 = (
+    "(fun y -> case Pair(Pair(y, Nil), Pair(y, Nil))"
+    f" of {{ Pair(Pair(Left(_), _), _) -> Nil }}) {SLOW}"
+)
+STAMP_K1 = f"(fun y -> Amb(y, y)) {SLOW}"
+STAMP_SPINE = (
+    "(fun y -> case Pair(case y of { Left(_) -> Nil }, case y of { Left(_) -> Nil })"
+    f" of {{ Pair(Nil, Nil) -> Nil }}) {SLOW}"
+)
+
 
 @settings(max_examples=400, deadline=None)
 @given(st.one_of(closed_terms(), slow_terms()))
 @example(SLOW_HEAD)
+@example(parse_term(STAMP_K0))
+@example(parse_term(STAMP_K1))
+@example(parse_term(STAMP_SPINE))
 def test_graph_machine_conforms_to_det_step(t):
     # if det_step reaches a constructor or lambda head after k steps, the
     # graph machine reaches the same head within k ticks (sharing can only
@@ -474,6 +497,21 @@ def test_graph_machine_conforms_to_det_step(t):
     want = ("con", u.tag) if isinstance(u, Con) else ("lam", None)
     assert v is not None and v[:2] == want
     assert CONFORM_STEPS - left <= k
+
+
+def test_frozen_spine_cut_off(e):
+    # the unfolded rec applies itself to Nil, so the congruence descent
+    # meets the stepped node again: _step freezes the spine and whnf
+    # returns Unresolved early.  det_step's term grows by one App every
+    # two steps, so it is checked here, not by the conformance property,
+    # whose 10x budget would overflow _det's recursion.
+    t = parse_term("rec (fun f -> f Nil)")
+    start = _stepcore._tick
+    assert e.whnf(t, 10**4) == (None, 0)
+    assert _stepcore._tick - start == 3
+    for _ in range(CONFORM_STEPS):
+        assert not isinstance(t, (Con, Lam))
+        t = det_step(t)
 
 
 def test_fairness_bound():
@@ -533,6 +571,21 @@ def test_load_rejects_open_terms(e, t):
         e.load(t)
 
 
+def test_case_binds_64_variables(e):
+    # a depth-6 Pair pattern binds 64 variables: the environment is a
+    # linked tuple, so no limit on binders applies
+    def tree(depth, pair, leaves):
+        if depth == 0:
+            return next(leaves)
+        return pair(tree(depth - 1, pair, leaves), tree(depth - 1, pair, leaves))
+
+    pattern = tree(6, lambda a, b: PCon("Pair", (a, b)), (PVar(f"v{i}") for i in range(64)))
+    scrutinee = tree(6, lambda a, b: con("Pair", a, b), (_nat(i) for i in range(64)))
+    t = Case(scrutinee, (Clause(pattern, Var("v41")),))
+    assert e.whnf(t, 10**4)[1] == 10**4 - 1
+    assert e.observe(t, 50, policy="raw") == e.observe(_nat(41), 50, policy="raw")
+
+
 # ---------------------------------------------------------------------------
 # tick accounting: exact fuel left, pinned
 
@@ -546,6 +599,8 @@ def test_load_rejects_open_terms(e, t):
         ("por Pair(bot, Left(Nil))", "Left", 9998),
         ("f_ret Nil", "Amb", 9999),
         ("rec (fun s -> Pair(Nil, s))", "Pair", 9998),
+        (STAMP_K0, "Nil", 9995),
+        (STAMP_SPINE, "Nil", 9994),
     ],
 )
 def test_whnf_fuel_left(prelude, src, head, left):
@@ -561,6 +616,7 @@ def test_whnf_fuel_left(prelude, src, head, left):
         ("Amb(Left(Nil), Right(Nil))", "Left", 10**4),
         ("Amb(bot, Right(Amb(Left(Right(Nil)), bot)))", "Right", 10**4),
         ("Amb(rec (fun f -> f), (fun a -> (fun b -> b) a) Left(Nil))", "Left", 9998),
+        (STAMP_K1, "Left", 9996),
     ],
 )
 def test_race_fuel_left(src, head, left):
