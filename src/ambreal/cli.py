@@ -156,10 +156,13 @@ def cmd_eval(args) -> int:
     with open(args.file, encoding="utf-8") as fh:
         src = fh.read()
     prelude = load_prelude()
-    defs, main = parse_defs(src, dict(prelude.terms))
-    if main is None:
-        raise CliError(f"{args.file}: no main")
-    obs = prelude.engine.observe(main, args.depth, args.fuel, args.policy)
+    try:
+        defs, main = parse_defs(src, dict(prelude.terms))
+        if main is None:
+            raise CliError(f"{args.file}: no main")
+        obs = prelude.engine.observe(main, args.depth, args.fuel, args.policy)
+    except RecursionError:
+        raise CliError(f"{args.file}: a term is nested too deeply") from None
     print(render_obs(obs))
     return 1 if isinstance(obs, OUnresolved) else 0
 

@@ -4,8 +4,8 @@ Terms are built from five constructors (Nil, Left, Right, Pair, Amb),
 lambda abstraction, application, overlapping-pattern case, rec and bot.
 Case clauses may overlap but must be pairwise compatible: whenever two
 patterns have a common instance, the two bodies must agree (up to alpha
-equality) under the most general unifier.  Compatibility is checked at
-parse/load time by `check_compatibility`.
+equality) at their most general common instance.  Compatibility is
+checked at parse time by `check_compatibility`.
 
 Concrete syntax (normative for this artifact)::
 
@@ -25,6 +25,7 @@ lambda abstraction and binds it to a.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 from typing import Iterator, Optional
 
 ARITY = {"Nil": 0, "Left": 1, "Right": 1, "Pair": 2, "Amb": 2}
@@ -44,14 +45,19 @@ class ParseError(TermError):
 class IncompatibleClauses(TermError):
     """Two overlapping clauses disagree on their common instances."""
 
-    def __init__(self, i, j, mgu, body_i, body_j):
+    def __init__(self, i, j, env_i, env_j, body_i, body_j):
         self.indices = (i, j)
-        self.mgu = mgu
+        # each clause's bindings apart: both clauses may use the same name
+        self.bindings = (env_i, env_j)
         self.bodies = (body_i, body_j)
-        pretty = ", ".join(f"{v} -> {print_term(t)}" for v, t in sorted(mgu.items()))
+        bind_i, bind_j = (
+            ", ".join(f"{v} -> {print_term(t)}" for v, t in sorted(env.items()))
+            for env in (env_i, env_j)
+        )
         super().__init__(
-            f"clauses {i} and {j} overlap (mgu {{{pretty}}}) but their bodies "
-            f"differ: {print_term(body_i)}  vs  {print_term(body_j)}"
+            f"clauses {i} and {j} overlap (clause {i} binds {{{bind_i}}}, clause {j} "
+            f"binds {{{bind_j}}}) but their bodies differ: {print_term(body_i)}  vs  "
+            f"{print_term(body_j)}"
         )
 
 
@@ -166,15 +172,6 @@ def pattern_vars(p: Pattern) -> list:
     return out
 
 
-def check_linear(p: Pattern):
-    vs = pattern_vars(p)
-    seen = set()
-    for v in vs:
-        if v in seen:
-            raise TermError(f"variable {v} occurs twice in pattern {print_pattern(p)}")
-        seen.add(v)
-
-
 # ---------------------------------------------------------------------------
 # free variables, substitution, alpha equality
 
@@ -201,19 +198,26 @@ def free_vars(t: Term) -> frozenset:
     return frozenset()
 
 
-def _fresh(base: str, avoid) -> str:
-    cand = base + "'"
-    while cand in avoid:
-        cand += "'"
-    return cand
-
-
 def substitute(t: Term, v: str, s: Term) -> Term:
-    """Capture-avoiding substitution of s for free occurrences of v in t."""
+    """Substitute the closed term s for the free occurrences of v in t."""
+    if free_vars(s):
+        raise TermError(f"substitute needs a closed image, got free {sorted(free_vars(s))}")
     return _subst(t, {v: s})
 
 
 def _subst(t: Term, env: dict) -> Term:
+    """Substitute env's images for the free occurrences of its names in t.
+
+    No binder is renamed, which is sound because no image has a free name
+    that a binder of t can carry:
+    - `engine.det_step` fires beta and case on a closed term, and its redex
+      sits under no binder (a step descends only into scrutinees, functions
+      and constructor arguments): the redex is closed, and so are its parts;
+    - `parse_defs` substitutes resolved definitions, which it found closed;
+    - `check_compatibility` substitutes constructors over `%k` names, and
+      the lexer makes no name with "%", so no parsed binder is one.
+    `substitute` and `parse_defs` check the images they take from outside.
+    """
     if not env:
         return t
     if isinstance(t, Var):
@@ -227,56 +231,17 @@ def _subst(t: Term, env: dict) -> Term:
     if isinstance(t, Bot):
         return t
     if isinstance(t, Lam):
-        inner = {k: u for k, u in env.items() if k != t.var}
-        if not inner:
-            return t
-        x, body = _avoid_capture([t.var], t.body, inner)
-        return Lam(x[0], _subst(body, inner))
+        if t.var in env:
+            env = {k: u for k, u in env.items() if k != t.var}
+        return Lam(t.var, _subst(t.body, env))
     if isinstance(t, Case):
-        scrut = _subst(t.scrutinee, env)
         clauses = []
         for c in t.clauses:
             bound = pattern_vars(c.pattern)
             inner = {k: u for k, u in env.items() if k not in bound}
-            if not inner:
-                clauses.append(Clause(c.pattern, c.body))
-                continue
-            binders, body = _avoid_capture(bound, c.body, inner)
-            pat = _rename_pattern(c.pattern, dict(zip(bound, binders)))
-            clauses.append(Clause(pat, _subst(body, inner)))
-        return Case(scrut, tuple(clauses))
+            clauses.append(Clause(c.pattern, _subst(c.body, inner)))
+        return Case(_subst(t.scrutinee, env), tuple(clauses))
     raise TypeError(t)
-
-
-def _avoid_capture(binders, body, env):
-    """Rename binders that would capture free variables of the images."""
-    avoid = set()
-    for u in env.values():
-        avoid |= free_vars(u)
-    if not any(b in avoid for b in binders):
-        return list(binders), body
-    taken = set(binders) | avoid | free_vars(body)
-    renaming = {}
-    out = []
-    for b in binders:
-        if b in avoid:
-            nb = _fresh(b, taken)
-            taken.add(nb)
-            renaming[b] = Var(nb)
-            out.append(nb)
-        else:
-            out.append(b)
-    return out, _subst(body, renaming)
-
-
-def _rename_pattern(p: Pattern, names: dict) -> Pattern:
-    if isinstance(p, PVar):
-        nb = names.get(p.name)
-        return PVar(nb, p.wildcard) if nb is not None else p
-    if isinstance(p, PFun):
-        nb = names.get(p.name)
-        return PFun(nb, p.wildcard) if nb is not None else p
-    return PCon(p.tag, tuple(_rename_pattern(q, names) for q in p.args))
 
 
 def alpha_eq(t1: Term, t2: Term) -> bool:
@@ -371,103 +336,59 @@ def match_clause(t: Term, clauses) -> Optional[tuple]:
 
 
 # ---------------------------------------------------------------------------
-# clause compatibility via most general unifiers
+# clause compatibility
 
 
-def _walk(p, subst):
-    while isinstance(p, (PVar, PFun)) and p.name in subst:
-        p = subst[p.name]
-    return p
-
-
-def _unify(p, q, subst) -> bool:
-    p, q = _walk(p, subst), _walk(q, subst)
-    if isinstance(p, PVar):
-        if isinstance(q, PVar) and q.name == p.name:
-            return True
-        subst[p.name] = q
-        return True
-    if isinstance(q, PVar):
-        subst[q.name] = p
-        return True
-    if isinstance(p, PFun):
-        if isinstance(q, PFun):
-            if q.name != p.name:
-                subst[q.name] = p
-            return True
-        return False  # lambda vs constructor: no common match
-    if isinstance(q, PFun):
-        return False
-    if p.tag != q.tag:
-        return False
-    return all(_unify(x, y, subst) for x, y in zip(p.args, q.args))
-
-
-def unify_patterns(p: Pattern, q: Pattern) -> Optional[dict]:
-    """Most general unifier of two linear patterns with disjoint variables.
-
-    Returns a map from pattern variables to patterns, or None when the
-    patterns have no common match.
-    """
-    subst = {}
-    if not _unify(p, q, subst):
-        return None
-    return subst
-
-
-def resolve_pattern(p: Pattern, subst) -> Pattern:
-    p = _walk(p, subst)
+def _instance(p: Pattern, env: dict, fresh) -> Term:
+    """The generic instance of p: a fresh %k name stands at each leaf, and
+    env binds each named variable of p to its %k (a wildcard binds none)."""
     if isinstance(p, PCon):
-        return PCon(p.tag, tuple(resolve_pattern(a, subst) for a in p.args))
-    return p
+        return Con(p.tag, tuple(_instance(a, env, fresh) for a in p.args))
+    v = Var(f"%{next(fresh)}")
+    if not p.wildcard:
+        env[p.name] = v
+    return v
 
 
-def pattern_to_term(p: Pattern) -> Term:
-    """Generic instance of a pattern; residual variables stay free."""
-    if isinstance(p, (PVar, PFun)):
-        return Var(p.name)
-    return Con(p.tag, tuple(pattern_to_term(a) for a in p.args))
+def _meet(p: Pattern, q: Pattern, env_p: dict, env_q: dict, fresh) -> bool:
+    """Meet two linear patterns in one simultaneous walk.
 
-
-def _rename_apart(p: Pattern, taken, renaming) -> Pattern:
-    if isinstance(p, (PVar, PFun)):
-        nb = p.name
-        if nb in taken:
-            nb = _fresh(nb, taken)
-        taken.add(nb)
-        renaming[p.name] = nb
-        return PVar(nb, getattr(p, "wildcard", False)) if isinstance(p, PVar) else PFun(nb, p.wildcard)
-    return PCon(p.tag, tuple(_rename_apart(a, taken, renaming) for a in p.args))
+    Each variable of p is bound in env_p, and each of q in env_q, to its
+    part of the most general common instance, whose leaves are fresh %k
+    names.  Each side binds its own names, so the patterns need no renaming
+    apart, and each variable is met once, so no substitution chains form.
+    Returns False when the patterns have no common instance.
+    """
+    if isinstance(q, PVar) or (isinstance(p, PFun) and isinstance(q, PFun)):
+        env_q[q.name] = _instance(p, env_p, fresh)
+        return True
+    if isinstance(p, PVar):
+        env_p[p.name] = _instance(q, env_q, fresh)
+        return True
+    if isinstance(p, PFun) or isinstance(q, PFun):
+        return False  # lambda vs constructor: no common match
+    return p.tag == q.tag and all(
+        _meet(x, y, env_p, env_q, fresh) for x, y in zip(p.args, q.args)
+    )
 
 
 def check_compatibility(clauses) -> None:
-    """Raise IncompatibleClauses unless all clause pairs agree on overlaps."""
+    """Raise IncompatibleClauses unless all clause pairs agree on overlaps,
+    and TermError unless every pattern is linear."""
     for c in clauses:
-        check_linear(c.pattern)
-    for i in range(len(clauses)):
-        for j in range(i + 1, len(clauses)):
-            ci, cj = clauses[i], clauses[j]
-            taken = set(pattern_vars(ci.pattern)) | free_vars(ci.body) | free_vars(cj.body)
-            renaming = {}
-            pj = _rename_apart(cj.pattern, taken, renaming)
-            bj = _subst(cj.body, {old: Var(new) for old, new in renaming.items() if old != new})
-            subst = unify_patterns(ci.pattern, pj)
-            if subst is None:
+        seen = set()
+        for v in pattern_vars(c.pattern):
+            if v in seen:
+                raise TermError(f"variable {v} occurs twice in pattern {print_pattern(c.pattern)}")
+            seen.add(v)
+    for i, ci in enumerate(clauses):
+        for j, cj in enumerate(clauses[i + 1 :], i + 1):
+            env_i, env_j = {}, {}
+            if not _meet(ci.pattern, cj.pattern, env_i, env_j, count()):
                 continue
-            env_i = {
-                v: pattern_to_term(resolve_pattern(PVar(v), subst))
-                for v in pattern_vars(ci.pattern)
-            }
-            env_j = {
-                v: pattern_to_term(resolve_pattern(PVar(v), subst))
-                for v in pattern_vars(pj)
-            }
-            inst_i = _subst(ci.body, env_i)
-            inst_j = _subst(bj, env_j)
-            if not alpha_eq(inst_i, inst_j):
-                mgu = {v: t for v, t in {**env_i, **env_j}.items()
-                       if not (isinstance(t, Var) and t.name == v)}
-                raise IncompatibleClauses(i, j, mgu, inst_i, inst_j)
+            body_i, body_j = _subst(ci.body, env_i), _subst(cj.body, env_j)
+            if not alpha_eq(body_i, body_j):
+                raise IncompatibleClauses(i, j, env_i, env_j, body_i, body_j)
 
 
 # ---------------------------------------------------------------------------
@@ -508,7 +429,7 @@ def print_pattern(p: Pattern) -> str:
     if isinstance(p, PVar):
         return "_" if p.wildcard else p.name
     if isinstance(p, PFun):
-        return f"fun({p.name})"
+        return "fun(_)" if p.wildcard else f"fun({p.name})"
     if not p.args:
         return p.tag
     return f"{p.tag}({', '.join(print_pattern(a) for a in p.args)})"
@@ -682,7 +603,6 @@ class _Parser:
 
     def clause(self) -> Clause:
         pat = self.pattern()
-        check_linear(pat)
         self.expect("->")
         return Clause(pat, self.term())
 
@@ -751,6 +671,9 @@ def parse_defs(src: str, env=None):
     """
     defs, main = _Parser(src).defs()
     env = dict(env) if env else {}
+    for k, u in env.items():
+        if free_vars(u):
+            raise TermError(f"initial name {k} is bound to an open term")
 
     def resolve(label, t):
         resolved = _subst(t, {k: env[k] for k in free_vars(t) if k in env})

@@ -2,9 +2,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import strategies as st
 
 from ambreal.engine import Engine
 from ambreal.prelude import Prelude, load_prelude
+from ambreal.terms import BOT, NIL, App, Lam, Rec, Var, con
 
 
 @pytest.fixture(scope="session")
@@ -48,3 +50,46 @@ def random_compact(rng: random.Random, max_parts=4):
         Fraction(rng.randint(-(2**10), 2**10), 2**10) for _ in range(2 * parts)
     )
     return IntervalSet([(points[2 * i], points[2 * i + 1]) for i in range(parts)])
+
+
+# a small strategy for closed terms
+
+_names = st.sampled_from(["a", "b", "c", "f", "g"])
+
+
+def _terms(scope):
+    closed = [
+        st.just(BOT),
+        st.just(NIL),
+    ]
+    if scope:
+        closed.append(st.sampled_from(sorted(scope)).map(Var))
+    base = st.one_of(closed)
+
+    def extend(children):
+        lam = st.tuples(_names, st.deferred(lambda: children)).map(
+            lambda p: Lam(p[0], p[1])
+        )
+        return st.one_of(
+            st.tuples(children, children).map(lambda p: App(p[0], p[1])),
+            children.map(lambda t: con("Left", t)),
+            st.tuples(children, children).map(lambda p: con("Pair", *p)),
+            children.map(Rec),
+        )
+
+    return st.recursive(base, extend, max_leaves=12)
+
+
+def closed_terms():
+    def build(draw):
+        # binder-aware generation: wrap a scoped body in its lambdas
+        names = draw(st.lists(_names, min_size=0, max_size=3, unique=True))
+        body = draw(_terms(frozenset(names)))
+        for n in reversed(names):
+            body = Lam(n, body)
+        # apply to dummies so the term is closed and interesting
+        for _ in names:
+            body = App(body, NIL)
+        return body
+
+    return st.composite(lambda draw: build(draw))()

@@ -337,7 +337,7 @@ def test_c10_tree_conversions():
 @criterion(11, "fuel monotonicity / commitment")
 def test_c11_monotone():
     rng = random.Random(888)
-    from .test_terms import closed_terms
+    from .conftest import closed_terms
 
     # deterministic generation without hypothesis: reuse strategy examples
     samples = []

@@ -154,6 +154,19 @@ def test_eval_parse_error(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("depth", [200, 5000])
+def test_eval_deep_term(tmp_path, depth):
+    # too deep a term is a usage error (exit 2), never a traceback or the
+    # exit code of an Unresolved answer
+    f = tmp_path / "t.cfp"
+    f.write_text("main = " + "Left(" * depth + "Nil" + ")" * depth + " ;")
+    code, out, err = run("eval", str(f), "--depth", "3")
+    if depth == 200:
+        assert (code, out) == (0, "Left(Left(Left(Left(...))))")
+    else:
+        assert code == 2 and out == "" and "nested too deeply" in err
+
+
 # tree
 
 

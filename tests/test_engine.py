@@ -36,7 +36,7 @@ from ambreal.terms import (
     print_term,
 )
 
-from .test_terms import closed_terms
+from .conftest import closed_terms
 
 POR = parse_term(
     """fun c -> case c of {
