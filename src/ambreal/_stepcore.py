@@ -17,9 +17,35 @@ frozen as divergent.
 Divergence is detected eagerly where sound: a node whose step is the
 identity (bot, a stuck application, a frozen scrutinee matching no clause)
 is flagged quiescent, a fuel loop that observes a no-progress tick drains
-the remaining fuel in one go, and an Amb node that wins its own race
-becomes bot.  None of this changes results, only the cost of reporting
-Unresolved.
+the remaining fuel in one go, an Amb node that wins its own race becomes
+bot, and a finite-iteration collapse whose state recurs modulo the
+closures it never applies is cut off (below).  None of this changes
+results or ticks, only the cost of reporting Unresolved.
+
+The recurrence cut-off.  At a peel boundary the future of collapse_node
+depends only on the graph its run can read from the peel root x.  _form
+writes that graph down canonically: it looks through indirections
+(they only forward to their target), descends a node's env only at the
+slots its code reads (compile_term records them as a mask on each code),
+and keeps q, kinds, tags and code identities.  A lambda is used only by
+beta: matching, binding, racing and returning it read nothing inside
+it.  So a lambda that the run will not enter is a token, and _form makes
+an opaque leaf of every lambda not entered since the previous checkpoint
+(beta stamps f.gen with the tick) and of every suspension of a lambda.
+The collapse returns Unresolved at checkpoint i+1 when its form equals
+that of checkpoint i and no opaque lambda of checkpoint i was entered
+between them.  Soundness is a simulation up to opaque leaves: equal
+forms give a bijection phi from checkpoint i's readable graph to
+checkpoint i+1's that maps opaque leaves to opaque leaves.  The run from
+checkpoint i reached checkpoint i+1 reading no opaque leaf's inside, so
+the run from checkpoint i+1 makes the phi-image of every step, node for
+node and tick for tick (a step reads only what the form holds; the gen
+stamps it compares are all older than the current tick), and it too
+ends in a Right peel having entered no opaque leaf.  Entry is mirrored,
+so the checkpoint it reaches has the same form and the same opaque
+leaves, and the argument repeats: the collapse peels Right forever.
+Codes are compared by id; no code is made while a collapse runs, so an
+id in the previous form cannot name a code made since.
 
 Two choices keep the per-tick work small without moving a tick.  A
 child position whose code is a variable is linked straight to its
@@ -44,8 +70,9 @@ exact fuel-left values in tests/test_engine.py.
 
 # node kinds / code opcodes (shared numbering where it helps)
 SUSP, CON, LAM, APP, CASE, REC, BOT, IND = range(8)
-# code tuples: (VAR_, idx) (CON_, tag, kids) (LAM_, body) (APP_, fn, arg)
-# (CASE_, scrut, dispatch table) (REC_, body) (BOT_,)
+# code tuples, each ending with its free-slot mask (bit i: reads env slot
+# i): (VAR_, idx, m) (CON_, tag, kids, m) (LAM_, body, m) (APP_, fn, arg, m)
+# (CASE_, scrut, dispatch table, m) (REC_, body, m) (BOT_, m)
 VAR_, CON_, LAM_, APP_, CASE_, REC_, BOT_ = range(7)
 # pattern opcodes: (PVAR,) (PFUN,) (PCON, tag, kids)
 PVAR, PFUN, PCON = range(3)
@@ -148,6 +175,7 @@ def _expose(n):
         n.kind = LAM
         n.code = code[1]
         n.q = True
+        n.gen = 0  # a lambda's gen is the tick of its last entry
     elif op == CASE_:
         n.kind = CASE
         n.k0 = _link(code[1], env)
@@ -308,6 +336,7 @@ def _step(x):
             x.k0 = f
             if f.kind == LAM:
                 x.gen = _tick
+                f.gen = _tick  # entry stamp, read by collapse_node
                 arg = x.k1
                 x.kind = SUSP
                 x.code = f.code
@@ -426,15 +455,115 @@ def resolve_node(x, fuel):
         x = won
 
 
+# a collapse starts its recurrence checks after this much work (ticks and
+# peels)
+CHECK_WORK = 1024
+
+_OPAQUE = ("fun",)
+
+
+def _form(root, since):
+    """The canonical form of the graph that the run from root can read, and
+    its opaque lambdas.
+
+    A preorder walk that looks through indirections and descends only the
+    env slots a node's code reads.  A lambda not entered after tick
+    `since`, or a suspension whose code is a lambda, is an opaque leaf:
+    only the fact that it is a lambda goes into the form.  Each node's
+    entry is a tuple, or the index of its first visit; a tuple fixes how
+    many children follow it, so equal forms are isomorphic graphs."""
+    seen = {}
+    form = []
+    opaque = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n.kind == IND:
+            n = follow(n)
+        i = seen.get(n)
+        if i is not None:
+            form.append(i)
+            continue
+        seen[n] = len(seen)
+        k = n.kind
+        if k == CON:
+            form.append((CON, n.tag, n.q))
+            arity = ARITY_OF[n.tag]
+            if arity:
+                stack.append(n.k0)
+                if arity > 1:
+                    stack.append(n.k1)
+            continue
+        if k == APP:
+            form.append((APP, n.q))
+            stack.append(n.k0)
+            stack.append(n.k1)
+            continue
+        code = n.code
+        if k == CASE:
+            form.append((CASE, id(code), n.q))
+            stack.append(n.k0)
+            mask = code[-1]
+        elif k == LAM:
+            if n.gen <= since:
+                form.append(_OPAQUE)
+                opaque.append(n)
+                continue
+            form.append((LAM, id(code)))
+            mask = code[-1] >> 1
+        elif k == BOT:
+            form.append((BOT,))
+            continue
+        elif k == SUSP and code[0] == LAM_:
+            form.append(_OPAQUE)
+            opaque.append(n)
+            continue
+        else:  # SUSP, REC
+            form.append((k, id(code)))
+            mask = code[-1]
+        env = n.env
+        while mask:
+            if mask & 1:
+                stack.append(env[0])
+            env = env[1]
+            mask >>= 1
+    return form, opaque
+
+
 def collapse_node(x, fuel):
     """Resolve a finite-iteration value: peel Right(..), return whnf of the
-    Left payload.  Returns (status, node or None, fuel left)."""
+    Left payload.  Returns (status, node or None, fuel left).
+
+    An iteration whose state recurs modulo the closures it never applies
+    is cut off (see the module docstring).  The checks are paid for by
+    work, which counts ticks and peels (a loop of peels that cost no tick
+    has no fuel to end it): they start after CHECK_WORK of work, and each
+    later one waits for as much work as the last form had entries, so a
+    collapse never spends more on checks than on steps.
+    """
+    start = since = _tick  # since: the tick of the last checkpoint
+    peels = 0
+    due = CHECK_WORK
+    mark = None  # the last checkpoint's (form, opaque lambdas)
     while True:
         r, fuel = resolve_node(x, fuel)
         if r is None:
             return UNRESOLVED, None, 0
         if r.kind == CON and r.tag == RIGHT:
             x = r.k0
+            peels += 1
+            work = _tick - start + peels
+            if work >= due:
+                form, opaque = _form(x, since)
+                if mark is not None and form == mark[0]:
+                    for n in mark[1]:
+                        if n.gen > since:
+                            break
+                    else:
+                        return UNRESOLVED, None, 0  # the state recurs
+                mark = (form, opaque)
+                since = _tick
+                due = work + len(form)
         elif r.kind == CON and r.tag == LEFT:
             v, fuel = whnf_node(r.k0, fuel)
             if v is None:

@@ -161,7 +161,7 @@ def cmd_eval(args) -> int:
         if main is None:
             raise CliError(f"{args.file}: no main")
         obs = prelude.engine.observe(main, args.depth, args.fuel, args.policy)
-    except RecursionError:
+    except RecursionError:  # parse_defs reports its own as a ParseError
         raise CliError(f"{args.file}: a term is nested too deeply") from None
     print(render_obs(obs))
     return 1 if isinstance(obs, OUnresolved) else 0

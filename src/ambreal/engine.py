@@ -9,9 +9,13 @@ of a race advance on every tick.
 
 Fuel counts root steps.  Exhaustion yields Unresolved, never a wrong
 answer, and any result obtained at some fuel is returned unchanged at
-every larger fuel.
+every larger fuel.  Some divergence is shown before the fuel is spent:
+among others, `collapse_star` stops a finite iteration whose state
+recurs up to the closures it never applies (the unknown cell of a Gray
+code at a dyadic point), which would otherwise burn every tick given.
 
-The graph machine itself lives in _stepcore.
+The graph machine itself lives in _stepcore; compile_term gives it, on
+every code tuple, the env slots the code reads.
 """
 
 from __future__ import annotations
@@ -46,6 +50,10 @@ from .terms import (
 COMPILED = False
 
 UNLIMITED = 10**15
+
+# codes that depend on nothing but their slot are shared, one per slot
+_BOT_CODE = (_core.BOT_, 0)
+_VAR_CODES = {}
 
 TAGS = ("Nil", "Left", "Right", "Pair", "Amb")
 TAGNUM = {t: i for i, t in enumerate(TAGS)}
@@ -110,11 +118,21 @@ def strict_apply(f: Term, a: Term) -> Term:
 
 
 def compile_term(t: Term, scope=()):
+    """The code tuple of t in scope (innermost binder first).
+
+    Every code tuple ends with its free-slot mask, an int whose bit i is
+    set when the code reads env slot i.  A case's dispatch table ends with
+    the mask of its clause bodies, taken in the case's own env, since a
+    case node keeps the table, not its code."""
     if isinstance(t, Var):
         try:
-            return (_core.VAR_, scope.index(t.name))
+            idx = scope.index(t.name)
         except ValueError:
             raise OpenTerm(f"unbound variable {t.name}") from None
+        code = _VAR_CODES.get(idx)
+        if code is None:
+            code = _VAR_CODES[idx] = (_core.VAR_, idx, 1 << idx)
+        return code
     if isinstance(t, Con):
         # a right-nested chain (a stream spine) compiles in one loop, so
         # its length does not set the stack depth.  Its head terms all sit
@@ -124,31 +142,41 @@ def compile_term(t: Term, scope=()):
         while isinstance(t, Con) and t.args:
             spine.append(t)
             t = t.args[-1]
-        code = (_core.CON_, TAGNUM[t.tag], ()) if isinstance(t, Con) else compile_term(t, scope)
+        code = (_core.CON_, TAGNUM[t.tag], (), 0) if isinstance(t, Con) else compile_term(t, scope)
         compiled = {}
         for c in reversed(spine):
             heads = []
+            mask = code[-1]
             for a in c.args[:-1]:
                 hit = compiled.get(id(a))
                 if hit is None:
                     hit = compiled[id(a)] = compile_term(a, scope)
                 heads.append(hit)
-            code = (_core.CON_, TAGNUM[c.tag], (*heads, code))
+                mask |= hit[-1]
+            code = (_core.CON_, TAGNUM[c.tag], (*heads, code), mask)
         return code
     if isinstance(t, Lam):
-        return (_core.LAM_, compile_term(t.body, (t.var,) + tuple(scope)))
+        body = compile_term(t.body, (t.var,) + tuple(scope))
+        return (_core.LAM_, body, body[-1] >> 1)
     if isinstance(t, App):
-        return (_core.APP_, compile_term(t.fn, scope), compile_term(t.arg, scope))
+        fn = compile_term(t.fn, scope)
+        arg = compile_term(t.arg, scope)
+        return (_core.APP_, fn, arg, fn[-1] | arg[-1])
     if isinstance(t, Rec):
-        return (_core.REC_, compile_term(t.body, scope))
+        body = compile_term(t.body, scope)
+        return (_core.REC_, body, body[-1])
     if isinstance(t, Bot):
-        return (_core.BOT_,)
+        return _BOT_CODE
     if isinstance(t, Case):
         clauses = []
+        mask = 0
         for c in t.clauses:
-            inner = tuple(reversed(pattern_vars(c.pattern))) + tuple(scope)
-            clauses.append((compile_pattern(c.pattern), compile_term(c.body, inner)))
-        return (_core.CASE_, compile_term(t.scrutinee, scope), _core.dispatch(clauses))
+            names = pattern_vars(c.pattern)
+            body = compile_term(c.body, tuple(reversed(names)) + tuple(scope))
+            clauses.append((compile_pattern(c.pattern), body))
+            mask |= body[-1] >> len(names)
+        scrut = compile_term(t.scrutinee, scope)
+        return (_core.CASE_, scrut, _core.dispatch(clauses) + (mask,), scrut[-1] | mask)
     raise TypeError(t)
 
 

@@ -517,6 +517,24 @@ class _Parser:
         t = self.peek()
         raise ParseError(msg, t.line, t.col)
 
+    def nested(self, parse):
+        """parse(), with the interpreter's recursion limit, which the
+        parser meets at a few hundred levels, reported as a ParseError
+        naming the depth reached: the term and pattern calls open when
+        the stack ran out."""
+        try:
+            return parse()
+        except RecursionError as exc:
+            depth = 0
+            tb = exc.__traceback__
+            while tb is not None:
+                if tb.tb_frame.f_code in _LEVELS:
+                    depth += 1
+                tb = tb.tb_next
+            t = self.peek()
+            msg = f"term nested too deeply (over {depth} levels)"
+            raise ParseError(msg, t.line, t.col) from None
+
     # terms
 
     def term(self) -> Term:
@@ -652,9 +670,13 @@ class _Parser:
         return out, main
 
 
+# the parser's calls that open a nesting level
+_LEVELS = (_Parser.term.__code__, _Parser.pattern.__code__)
+
+
 def parse_term(src: str) -> Term:
     p = _Parser(src)
-    t = p.term()
+    t = p.nested(p.term)
     tok = p.peek()
     if tok.kind != "eof":
         raise ParseError(f"unexpected {tok.text!r} after term", tok.line, tok.col)
@@ -669,7 +691,8 @@ def parse_defs(src: str, env=None):
     every returned term is closed relative to earlier names only.  An
     initial name environment may be supplied.
     """
-    defs, main = _Parser(src).defs()
+    p = _Parser(src)
+    defs, main = p.nested(p.defs)
     env = dict(env) if env else {}
     for k, u in env.items():
         if free_vars(u):

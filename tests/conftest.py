@@ -71,6 +71,7 @@ def _terms(scope):
             lambda p: Lam(p[0], p[1])
         )
         return st.one_of(
+            lam,
             st.tuples(children, children).map(lambda p: App(p[0], p[1])),
             children.map(lambda t: con("Left", t)),
             st.tuples(children, children).map(lambda p: con("Pair", *p)),

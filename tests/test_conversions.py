@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from ambreal import _stepcore
 from ambreal.codec import (
     BOT_CELL,
     extract_gray,
@@ -130,6 +131,21 @@ def test_unresolved_cell_stays_unresolved_across_fuels(prelude):
     for fuel in (10**3, 10**5):
         cells = run_sd2gray(prelude, x, j + 1, fuel=fuel)
         assert cells[j] is None
+
+
+@pytest.mark.parametrize("x", [Fraction(5, 16), Fraction(-3, 64), Fraction(1, 2)])
+def test_unknown_cell_cut_off(prelude, x):
+    # the unknown cell diverges, and the collapse's recurrence cut-off
+    # says so within a few thousand ticks of a 10^7 budget
+    j = gray_prefix(x, 8).index(BOT_CELL)
+    e = prelude.engine
+    node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, sd_encode(x)))
+    for _ in range(j):
+        node = e.resolve_amb(node, 10**5)[0][2][1]
+    cell = e.resolve_amb(node, 10**5)[0][2][0]
+    start = _stepcore._tick
+    assert e.collapse_star(cell, 10**7) == (None, 0)
+    assert _stepcore._tick - start <= 4 * _stepcore.CHECK_WORK
 
 
 LONG_PERIOD = """

@@ -226,8 +226,57 @@ def test_collapse_malformed_function(e):
 
 
 def test_collapse_recurring_state_unresolved(e):
+    # every peel leaves the same graph: the first checkpoint after
+    # CHECK_WORK of work and the next one compare equal
     t = parse_term("(rec (fun f -> fun x -> Amb(Right(f x), bot))) Nil")
-    assert e.collapse_star(t, 10**4) == (None, 0)
+    start = _stepcore._tick
+    assert e.collapse_star(t, 10**5) == (None, 0)
+    assert _stepcore._tick - start <= _stepcore.CHECK_WORK + 20
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        "rec (fun s -> Right(s))",
+        "rec (fun s -> Right(Amb(bot, Right(s))))",
+        "rec (fun s -> Amb(Right(s), bot))",
+    ],
+)
+def test_collapse_free_peels_stop(e, src):
+    # after a few ticks each peel costs none, so no fuel bound ends the
+    # loop; the checks count peels as work, so they still start
+    start = _stepcore._tick
+    assert e.collapse_star(parse_term(src), 10**4) == (None, 0)
+    assert _stepcore._tick - start <= 10
+
+
+# a countdown whose state is a closure: each round applies the state it
+# was given (n Nil), so the state at one peel is the state at the next
+# one up to a lambda that the next round enters.  mk builds the closure
+# for a numeral Left^k(Nil).
+MK = parse_term(
+    "rec (fun mk -> fun d -> fun z -> case d of { Nil -> Nil; Left(e) -> Left(fun w -> mk e w) })"
+)
+CLOSURE_COUNTDOWN = parse_term(
+    "rec (fun f -> fun n -> case n Nil of {"
+    " Nil -> Amb(Left(Nil), bot); Left(m) -> Amb(Right(f m), bot) })"
+)
+
+
+def _nat(k, tag="Right"):
+    t = NIL
+    for _ in range(k):
+        t = con(tag, t)
+    return t
+
+
+def test_collapse_closure_countdown_resolves(e):
+    # the entered-lambda check keeps the cut-off from firing: dropping it
+    # makes this Unresolved
+    start = _stepcore._tick
+    v, _left = e.collapse_star(App(CLOSURE_COUNTDOWN, App(MK, _nat(300, "Left"))), 10**6)
+    assert v == ("con", "Nil", [])
+    assert _stepcore._tick - start > _stepcore.CHECK_WORK  # checks ran
 
 
 @pytest.mark.parametrize(
@@ -407,13 +456,6 @@ TOWER = {
 }
 
 
-def _nat(k):
-    t = NIL
-    for _ in range(k):
-        t = con("Right", t)
-    return t
-
-
 def _tower(base, kinds):
     for kind in kinds:
         base = TOWER[kind](base)
@@ -512,6 +554,128 @@ def test_frozen_spine_cut_off(e):
     for _ in range(CONFORM_STEPS):
         assert not isinstance(t, (Con, Lam))
         t = det_step(t)
+
+
+def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
+    # the accumulator grows by a pair each round, so the readable graph
+    # grows with the peels and no two forms are equal.  A check waits for
+    # as much work (ticks and peels) as the last form had entries;
+    # checking at every peel would make this collapse quadratic in k
+    sizes = []
+    form = _stepcore._form
+
+    def spy(root, since):
+        f, opaque = form(root, since)
+        sizes.append(len(f))
+        return f, opaque
+
+    monkeypatch.setattr(_stepcore, "_form", spy)
+    it = parse_term(
+        "rec (fun f -> fun n -> fun acc -> case n of { Nil -> Amb(Left(acc), bot);"
+        " Left(m) -> Amb(Right(f m (Pair(m, acc))), bot) })"
+    )
+    start = _stepcore._tick
+    v, _left = Engine().collapse_star(App(App(it, _nat(2000, "Left")), NIL), 10**6)
+    ticks = _stepcore._tick - start
+    assert v[1] == "Pair" and ticks == 6005
+    assert len(sizes) >= 3 and sum(sizes[:-1]) <= ticks + 2000
+
+
+# ---------------------------------------------------------------------------
+# the collapse's recurrence cut-off against a plain peel loop
+
+CUT_BUDGET = 4 * _stepcore.CHECK_WORK
+
+
+def _plain_collapse(node, fuel):
+    """collapse_node without checkpoints: (view or None, fuel left).  A
+    collapse that peels more times than its fuel is Unresolved (its
+    peels stopped costing ticks)."""
+    e = Engine()
+    for _ in range(fuel + 1):
+        r, fuel = _stepcore.resolve_node(node, fuel)
+        if r is None:
+            return None, 0
+        if r.kind == _stepcore.CON and r.tag == _stepcore.RIGHT:
+            node = r.k0
+            continue
+        assert r.kind == _stepcore.CON and r.tag == _stepcore.LEFT
+        v, fuel = _stepcore.whnf_node(r.k0, fuel)
+        return (e.view(v) if v is not None else None), fuel
+    return None, 0
+
+
+# one round of an iteration over a state n and an accumulator a: the
+# state is a numeral (data), the closure mk makes of one (closure), or a
+# lambda that returns one (wrapped); the accumulator stays, or grows a
+# closure that only the final answer applies
+_VIEW = {"data": "n", "closure": "n Nil", "wrapped": "n Nil"}
+_NEXT = {"data": "m", "closure": "m", "wrapped": "(fun z -> m)"}
+_ACC = {"same": "a", "grow": "fun y -> a (Left(y))"}
+
+
+def _iteration(state, acc, right_first, k):
+    done = "Amb(bot, Left(a Nil))" if right_first else "Amb(Left(a Nil), bot)"
+    more = f"Right(f {_NEXT[state]} ({_ACC[acc]}))"
+    more = f"Amb(bot, {more})" if right_first else f"Amb({more}, bot)"
+    it = parse_term(
+        f"rec (fun f -> fun n -> fun a -> case {_VIEW[state]} of"
+        f" {{ Nil -> {done}; Left(m) -> {more} }})"
+    )
+    # k None: a numeral with no end
+    num = parse_term("rec (fun s -> Left(s))") if k is None else _nat(k, "Left")
+    if state == "closure":
+        num = parse_term("rec (fun s -> fun z -> Left(s))") if k is None else App(MK, num)
+    elif state == "wrapped":
+        num = Lam("z", num)
+    return App(App(it, num), parse_term("fun y -> y"))
+
+
+def _first_sign(pre, per):
+    return App(_PRELUDE.get("f_d"), App(_PRELUDE.get("sd_emb"), inject_sd(EPStream(pre, per))))
+
+
+def iterations():
+    """Finite-iteration values whose collapse takes a few hundred to a few
+    thousand ticks, as (builder, arguments): drawn iterations (above)
+    that end after k rounds or never, and f_d over signed-digit streams
+    with long zero prefixes.  The terms nest hundreds of levels deep, too
+    deep for hypothesis to print, so the test builds them."""
+    ks = st.one_of(st.none(), st.integers(0, 400))
+    drawn = st.tuples(
+        st.just(_iteration),
+        st.sampled_from(sorted(_VIEW)),
+        st.sampled_from(sorted(_ACC)),
+        st.booleans(),
+        ks,
+    )
+    zeros = st.integers(0, 200).map(lambda z: (0,) * z)
+    digits = st.lists(st.sampled_from((-1, 0, 1)), max_size=2).map(tuple)
+    streams = st.builds(
+        lambda z, tail, per: (_first_sign, z + tail, (0, *per)), zeros, digits, digits
+    )
+    return st.one_of(drawn, streams)
+
+
+@settings(max_examples=120, deadline=None)
+@given(iterations())
+@example((_iteration, "closure", "same", False, 300))
+@example((_iteration, "closure", "grow", True, 300))
+@example((_first_sign, (0,) * 150, (0,)))
+@example((_first_sign, (0,) * 150 + (1,), (0,)))
+def test_collapse_cut_off_is_sound(spec):
+    # an Unresolved before the budget is spent must be one that a plain
+    # peel loop also reaches at ten times the budget; a resolved value is
+    # the plain loop's, with the same fuel left (checks cost no tick)
+    build, *args = spec
+    t = build(*args)
+    start = _stepcore._tick
+    got = Engine().collapse_star(t, CUT_BUDGET)
+    if got[0] is None and _stepcore._tick - start < CUT_BUDGET:
+        assert _plain_collapse(Engine().load(t), 10 * CUT_BUDGET) == (None, 0)
+    elif got[0] is not None:
+        v, left = _plain_collapse(Engine().load(t), CUT_BUDGET)
+        assert (v[:2], left) == (got[0][:2], got[1])
 
 
 def test_fairness_bound():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from ambreal.codec import inject_sd, sd_encode
+from ambreal import _stepcore
+from ambreal.codec import EPStream, inject_sd, sd_encode
 from ambreal.engine import render_obs
 from ambreal.terms import (
     BOT,
@@ -232,11 +233,29 @@ def test_caibs_linear_fuel(prelude):
 
 
 def test_caibs_zero_diverges(prelude):
+    # each zero digit threads one more accumulator closure that no round
+    # applies, so the collapse state recurs up to it: the cut-off ends
+    # the collapse soon after its checks start, whatever the fuel
     s = sd_encode(Fraction(0))
-    for fuel in (10**3, 10**4, 10**6):
+    for fuel in (10**3, 10**4, 10**6, 10**9):
         e = prelude.engine
         node = e.apply(
             prelude.node("f_d"),
             e.apply(prelude.node("sd_emb"), e.load(inject_sd(s))),
         )
+        start = _stepcore._tick
         assert e.collapse_star(node, fuel)[0] is None
+        assert _stepcore._tick - start <= 2 * _stepcore.CHECK_WORK
+
+
+@pytest.mark.parametrize("zeros", [60, 200, 1000])
+@pytest.mark.parametrize("sign", [-1, 1])
+def test_caibs_long_zero_prefix(prelude, zeros, sign):
+    # the recurrence checks run through the zero prefix (its cells are
+    # distinct code positions) and must not cut off before the sign
+    e = prelude.engine
+    s = EPStream((0,) * zeros + (sign,), (0,))
+    node = e.apply(prelude.node("f_d"), e.apply(prelude.node("sd_emb"), e.load(inject_sd(s))))
+    v, left = e.collapse_star(node, 10**6)
+    assert v is not None and v[1] == ("Left" if sign < 0 else "Right")
+    assert 10**6 - left <= 64 * (zeros + 1)

@@ -71,6 +71,26 @@ def test_parse_errors_have_location():
     assert exc.value.line == 1
 
 
+DEEP = 5000
+
+
+@pytest.mark.parametrize(
+    "parse, src",
+    [
+        (parse_term, "Left(" * DEEP + "Nil" + ")" * DEEP),
+        (parse_term, "(" * DEEP + "Nil" + ")" * DEEP),
+        (parse_term, "case x of { " + "Left(" * DEEP + "y" + ")" * DEEP + " -> y }"),
+        (parse_defs, "main = " + "fun x -> " * DEEP + "x ;"),
+    ],
+)
+def test_parse_deep_term_is_a_parse_error(parse, src):
+    # the parser recurses per nesting level: running out of stack is a
+    # ParseError that names the depth reached, not a RecursionError
+    with pytest.raises(ParseError, match=r"nested too deeply \(over \d+ levels\)") as exc:
+        parse(src)
+    assert exc.value.line == 1 and exc.value.col > 100
+
+
 def test_nonlinear_pattern_rejected():
     with pytest.raises(TermError):
         parse_term("case x of { Pair(a, a) -> a }")
