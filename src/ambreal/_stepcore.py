@@ -9,10 +9,12 @@ once.  That last broadcast rule is what races the two arms of Amb fairly:
 one tick advances both.
 
 Sharing subtleties: rec unfolds to an application whose argument is the
-rec node itself, so streams are cyclic graphs.  A generation stamp keeps
-each node from being advanced twice in one tick (a shared subterm steps
-once for all its occurrences), and a spine that loops back on itself is
-frozen as divergent.
+rec node itself, so streams are cyclic graphs.  A node's gen holds the
+tick of its last step, which keeps it from being advanced twice in one
+tick (a shared subterm steps once for all its occurrences); or the
+negative stamp of the last congruence descent that passed it, with which
+_step finds a spine that loops back on itself in one pass and freezes it
+as divergent; or, on a lambda, the tick of its last entry.
 
 Divergence is detected eagerly where sound: a node whose step is the
 identity (bot, a stuck application, a frozen scrutinee matching no clause)
@@ -86,28 +88,29 @@ OK, UNRESOLVED, MALFORMED = range(3)
 LAM_SLOT, PENDING_SLOT = 5, 6
 
 _tick = 0
+_stamp = 0  # the last congruence descent's stamp; counts down from -1
 
 
 class Node:
     __slots__ = ("kind", "tag", "k0", "k1", "code", "env", "q", "gen")
 
-    def __init__(self, kind, tag=0, k0=None, k1=None, code=None, env=None, q=False):
+    def __init__(self, kind, tag, k0, k1, code, env):
         self.kind = kind
         self.tag = tag
         self.k0 = k0
         self.k1 = k1
         self.code = code
         self.env = env
-        self.q = q
+        self.q = False
         self.gen = 0
 
 
 def mk_node(code):
-    return Node(SUSP, code=code)
+    return Node(SUSP, 0, None, None, code, None)
 
 
 def mk_app(f, a):
-    return Node(APP, k0=f, k1=a)
+    return Node(APP, 0, f, a, None, None)
 
 
 def follow(n):
@@ -135,62 +138,14 @@ def _link(code, env):
             env = env[1]
             idx -= 1
         return env[0]
-    return Node(SUSP, code=code, env=env)
-
-
-def _expose(n):
-    """Unfold a suspension to its head form.  Costs no fuel."""
-    code = n.code
-    env = n.env
-    op = code[0]
-    if op == CON_:
-        kids = code[2]
-        n.kind = CON
-        n.tag = code[1]
-        if kids:
-            n.k0 = _link(kids[0], env)
-            if len(kids) > 1:
-                n.k1 = _link(kids[1], env)
-        else:
-            n.q = True
-        n.code = None
-        n.env = None
-    elif op == APP_:
-        n.kind = APP
-        n.k0 = _link(code[1], env)
-        n.k1 = _link(code[2], env)
-        n.code = None
-        n.env = None
-    elif op == VAR_:
-        target = _link(code, env)
-        n.env = None
-        if follow(target) is n:
-            n.kind = BOT
-            n.code = None
-            n.q = True
-        else:
-            n.kind = IND
-            n.code = target
-    elif op == LAM_:
-        n.kind = LAM
-        n.code = code[1]
-        n.q = True
-        n.gen = 0  # a lambda's gen is the tick of its last entry
-    elif op == CASE_:
-        n.kind = CASE
-        n.k0 = _link(code[1], env)
-        n.code = code[2]
-    elif op == REC_:
-        n.kind = REC
-        n.code = code[1]
-    else:  # BOT_
-        n.kind = BOT
-        n.code = None
-        n.env = None
-        n.q = True
+    return Node(SUSP, 0, None, None, code, env)
 
 
 def head(n):
+    """The head form of n: the node at the end of its indirections, with a
+    suspension there unfolded.  A suspension of a variable becomes an
+    indirection to the variable's binding, whose head is taken in turn.
+    Costs no fuel.  Hot callers test for a SUSP or IND kind before calling."""
     while True:
         k = n.kind
         if k == IND:
@@ -198,7 +153,57 @@ def head(n):
             k = n.kind
         if k != SUSP:
             return n
-        _expose(n)
+        code = n.code
+        env = n.env
+        op = code[0]
+        if op == VAR_:
+            target = follow(_link(code, env))
+            n.env = None
+            if target is n:
+                n.kind = BOT
+                n.code = None
+                n.q = True
+                return n
+            n.kind = IND
+            n.code = target
+            n = target
+            continue
+        if op == APP_:
+            n.kind = APP
+            n.k0 = _link(code[1], env)
+            n.k1 = _link(code[2], env)
+            n.code = None
+            n.env = None
+        elif op == CASE_:
+            n.kind = CASE
+            n.k0 = _link(code[1], env)
+            n.code = code[2]
+        elif op == CON_:
+            kids = code[2]
+            n.kind = CON
+            n.tag = code[1]
+            if kids:
+                n.k0 = _link(kids[0], env)
+                if len(kids) > 1:
+                    n.k1 = _link(kids[1], env)
+            else:
+                n.q = True
+            n.code = None
+            n.env = None
+        elif op == LAM_:
+            n.kind = LAM
+            n.code = code[1]
+            n.q = True
+            n.gen = 0  # a lambda's gen is the tick of its last entry
+        elif op == REC_:
+            n.kind = REC
+            n.code = code[1]
+        else:  # BOT_
+            n.kind = BOT
+            n.code = None
+            n.env = None
+            n.q = True
+        return n
 
 
 def dispatch(clauses):
@@ -232,13 +237,16 @@ def _match(nd, pat, binds):
     if op == PVAR:
         binds.append(nd)
         return True
-    nd = head(nd)
+    k = nd.kind
+    if k == SUSP or k == IND:
+        nd = head(nd)
+        k = nd.kind
     if op == PFUN:
-        if nd.kind == LAM:
+        if k == LAM:
             binds.append(nd)
             return True
         return False
-    if nd.kind != CON or nd.tag != pat[1]:
+    if k != CON or nd.tag != pat[1]:
         return False
     sub = pat[2]
     if sub:
@@ -249,11 +257,10 @@ def _match(nd, pat, binds):
     return True
 
 
-def try_match(m, table):
-    """The first clause of a dispatch table that matches m, a node in head
-    form: (bound nodes, body), or None."""
-    k = m.kind
-    for sub, body in table[m.tag if k == CON else LAM_SLOT if k == LAM else PENDING_SLOT]:
+def try_match(m, entries):
+    """The first of a dispatch slot's entries that matches m, the node in
+    head form whose slot it is: (bound nodes, body), or None."""
+    for sub, body in entries:
         if sub is None:
             return [m], body
         binds = []
@@ -273,8 +280,11 @@ def _broadcast(c):
     """
     prog = False
     allq = True
-    ch = head(c.k0)
-    c.k0 = ch
+    ch = c.k0
+    k = ch.kind
+    if k == SUSP or k == IND:
+        ch = head(ch)
+        c.k0 = ch
     if not ch.q:
         if ch.gen == _tick:
             allq = False
@@ -285,8 +295,11 @@ def _broadcast(c):
             if not ch.q:
                 allq = False
     if ARITY_OF[c.tag] > 1:
-        ch = head(c.k1)
-        c.k1 = ch
+        ch = c.k1
+        k = ch.kind
+        if k == SUSP or k == IND:
+            ch = head(ch)
+            c.k1 = ch
         if not ch.q:
             if ch.gen == _tick:
                 allq = False
@@ -306,14 +319,23 @@ def _step(x):
     nothing changed and nothing ever will.
 
     No quiescent node and no nullary constructor reaches _step: every
-    caller, and the descent below, skips quiescent nodes; _expose makes
+    caller, and the descent below, skips quiescent nodes; head makes
     lambdas, bot and nullary constructors quiescent at birth, and q is
     never reset.  So x and each node of the congruence spine below it is
     a constructor with children, a rec, an application or a case; the
     final return covers any other kind.  A step never turns x into an
     indirection (only resolve_node's commitment does), so a caller reads
-    x.q afterwards with no follow."""
-    path = None
+    x.q afterwards with no follow.
+
+    The descent writes a fresh stamp into gen of each spine node it
+    leaves, an application or a case whose k0 now holds the next one.
+    Meeting the stamp again closes a loop: the spine feeds itself, and the
+    k0 walk from the top freezes the descent up to the node already frozen
+    where the loop closed.  Ticks are positive and stamps negative, and a
+    spine node's gen is compared only with _tick (head resets a new
+    lambda's), so a stamp never passes for a step or an entry."""
+    global _stamp
+    top = None
     while True:
         if x.gen == _tick:
             return True  # this spine's step already happened via sharing
@@ -332,9 +354,13 @@ def _step(x):
             x.env = None
             return True
         if k == APP:
-            f = head(x.k0)
-            x.k0 = f
-            if f.kind == LAM:
+            f = x.k0
+            k = f.kind
+            if k == SUSP or k == IND:
+                f = head(f)
+                x.k0 = f
+                k = f.kind
+            if k == LAM:
                 x.gen = _tick
                 f.gen = _tick  # entry stamp, read by collapse_node
                 arg = x.k1
@@ -347,16 +373,21 @@ def _step(x):
             if f.q:  # fn frozen as constructor/bot: application is stuck
                 x.q = True
                 return False
-            if f.kind == CON:
+            if k == CON:
                 x.gen = _tick
                 if _broadcast(f):
                     return True
                 x.q = True
                 return False
         elif k == CASE:
-            m = head(x.k0)
-            x.k0 = m
-            r = try_match(m, x.code)
+            f = x.k0
+            k = f.kind
+            if k == SUSP or k == IND:
+                f = head(f)
+                x.k0 = f
+                k = f.kind
+            entries = x.code[f.tag if k == CON else LAM_SLOT if k == LAM else PENDING_SLOT]
+            r = try_match(f, entries) if entries else None
             if r is not None:
                 x.gen = _tick
                 binds, body = r
@@ -368,37 +399,39 @@ def _step(x):
                 x.env = env
                 x.k0 = None
                 return True
-            if m.q:
+            if f.q:
                 x.q = True
                 return False
-            if m.kind == CON:
+            if k == CON:
                 x.gen = _tick
-                if _broadcast(m):
+                if _broadcast(f):
                     return True
                 x.q = True
                 return False
-            f = m
         else:
             return False
-        # descend the congruence spine (fn / scrutinee positions), freezing
-        # self-feeding spines
-        if path is None:
-            path = [x]
-        elif x in path:
-            for n in path:
-                n.q = True
-            return False
-        else:
-            path.append(x)
+        # descend the congruence spine (fn / scrutinee positions)
+        if top is None:
+            _stamp -= 1
+            stamp = _stamp
+            top = x
+        x.gen = stamp
         x = f
+        if x.gen == stamp:  # the spine feeds itself: freeze the descent
+            while not top.q:
+                top.q = True
+                top = top.k0
+            return False
 
 
 def whnf_node(x, fuel):
     """Drive x to weak head normal form.  Returns (node or None, fuel left)."""
     global _tick
     while True:
-        x = head(x)
         k = x.kind
+        if k == SUSP or k == IND:
+            x = head(x)
+            k = x.kind
         if k == CON or k == LAM:
             return x, fuel
         if x.q or fuel <= 0:
@@ -419,14 +452,22 @@ def resolve_node(x, fuel):
         if x.kind != CON or x.tag != AMB:
             return x, fuel
         while True:
-            a = head(x.k0)
-            x.k0 = a
-            if a.kind == CON or a.kind == LAM:
+            a = x.k0
+            k = a.kind
+            if k == SUSP or k == IND:
+                a = head(a)
+                x.k0 = a
+                k = a.kind
+            if k == CON or k == LAM:
                 won = a
                 break
-            b = head(x.k1)
-            x.k1 = b
-            if b.kind == CON or b.kind == LAM:
+            b = x.k1
+            k = b.kind
+            if k == SUSP or k == IND:
+                b = head(b)
+                x.k1 = b
+                k = b.kind
+            if k == CON or k == LAM:
                 won = b
                 break
             if fuel <= 0 or (a.q and b.q):
@@ -437,8 +478,8 @@ def resolve_node(x, fuel):
                 return None, 0
         x.k0 = None
         x.k1 = None
-        # Only this commitment and _expose's VAR_ arm make an indirection.
-        # _expose refuses a target whose chain ends at the node itself, and
+        # Only this commitment and head's VAR_ arm make an indirection.
+        # head refuses a target whose chain ends at the node itself, and
         # path compression only shortens chains, so the indirections form
         # no cycle; and won is in head form, never an indirection, so
         # pointing x at it closes a cycle only if won is x.  That is an

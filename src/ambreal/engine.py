@@ -30,10 +30,8 @@ from .terms import (
     App,
     Bot,
     Case,
-    Clause,
     Con,
     Lam,
-    PCon,
     PFun,
     PVar,
     Rec,
@@ -99,18 +97,6 @@ def _det(t: Term) -> Term:
         return Con(t.tag, tuple(_det(a) for a in t.args))
     # Lam, Bot: self steps
     return t
-
-
-def strict_apply(f: Term, a: Term) -> Term:
-    """The case dispatch that forces a to a non-Amb value before applying f."""
-    clauses = [
-        Clause(PCon("Nil", ()), App(f, a)),
-        Clause(PCon("Left", (PVar("_s1", True),)), App(f, a)),
-        Clause(PCon("Right", (PVar("_s2", True),)), App(f, a)),
-        Clause(PCon("Pair", (PVar("_s3", True), PVar("_s4", True))), App(f, a)),
-        Clause(PFun("_s5", True), App(f, a)),
-    ]
-    return Case(a, tuple(clauses))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import gc
+import sys
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from ambreal.engine import (
     OUnresolved,
     det_step,
     render_obs,
-    strict_apply,
 )
 from ambreal.prelude import Prelude, load_prelude
 from ambreal.terms import (
@@ -27,6 +27,7 @@ from ambreal.terms import (
     Con,
     Lam,
     PCon,
+    PFun,
     PVar,
     Var,
     alpha_eq,
@@ -163,6 +164,18 @@ def test_observe_depth_truncation(e):
 
 # ---------------------------------------------------------------------------
 # strict application
+
+
+def strict_apply(f, a):
+    """The case dispatch that forces a to a non-Amb value before applying f."""
+    clauses = [
+        Clause(PCon("Nil", ()), App(f, a)),
+        Clause(PCon("Left", (PVar("_s1", True),)), App(f, a)),
+        Clause(PCon("Right", (PVar("_s2", True),)), App(f, a)),
+        Clause(PCon("Pair", (PVar("_s3", True), PVar("_s4", True))), App(f, a)),
+        Clause(PFun("_s5", True), App(f, a)),
+    ]
+    return Case(a, tuple(clauses))
 
 
 def test_strict_apply_value(e):
@@ -410,7 +423,12 @@ def _first_match(m, clauses):
 def test_dispatch_keeps_first_match_order(patterns, t):
     clauses = tuple((p, ("body", i)) for i, p in enumerate(patterns))
     m = _stepcore.head(Engine().load(t))
-    got = _stepcore.try_match(m, _stepcore.dispatch(clauses))
+    table = _stepcore.dispatch(clauses)
+    if m.kind == _stepcore.CON:
+        slot = m.tag
+    else:
+        slot = _stepcore.LAM_SLOT if m.kind == _stepcore.LAM else _stepcore.PENDING_SLOT
+    got = _stepcore.try_match(m, table[slot])
     want = _first_match(m, clauses)
     if want is None:
         assert got is None
@@ -531,11 +549,19 @@ def test_graph_machine_conforms_to_det_step(t):
     v, left = Engine().whnf(t, CONFORM_STEPS)
     cut_off = v is None and _stepcore._tick - start < CONFORM_STEPS
     limit = 10 * CONFORM_STEPS if cut_off else CONFORM_STEPS
-    u, k = t, 0
-    while not isinstance(u, (Con, Lam)):
-        if k == limit:
-            return
-        u, k = det_step(u), k + 1
+    # a term the machine cut off may grow an application deeper with every
+    # unfolding, as (fun g -> rec (fun g -> g g)) Nil does, and det_step
+    # recurses once per level
+    depth = sys.getrecursionlimit()
+    sys.setrecursionlimit(max(depth, 10 * limit))
+    try:
+        u, k = t, 0
+        while not isinstance(u, (Con, Lam)):
+            if k == limit:
+                return
+            u, k = det_step(u), k + 1
+    finally:
+        sys.setrecursionlimit(depth)
     want = ("con", u.tag) if isinstance(u, Con) else ("lam", None)
     assert v is not None and v[:2] == want
     assert CONFORM_STEPS - left <= k
@@ -554,6 +580,29 @@ def test_frozen_spine_cut_off(e):
     for _ in range(CONFORM_STEPS):
         assert not isinstance(t, (Con, Lam))
         t = det_step(t)
+
+
+def test_frozen_spine_loop_below_top(e):
+    # two cases lead down to the unfolded rec, whose scrutinee spine runs
+    # through three cases back to itself: the descent meets its own stamp
+    # two levels below its top, and every node it passed is frozen, the
+    # two above the loop as well as the three on it
+    case = "case {} of {{ Nil -> Nil }}"
+    loop = "rec (fun s -> " + case.format(case.format(case.format("s"))) + ")"
+    node = e.load(parse_term(case.format(case.format(loop))))
+    start = _stepcore._tick
+    assert e.whnf(node, 10**4) == (None, 0)
+    assert _stepcore._tick - start == 3
+    spine = []
+    n = node
+    while n not in spine:
+        spine.append(n)
+        n = n.k0
+    assert spine.index(n) == 2 and len(spine) == 5
+    assert all(s.kind == _stepcore.CASE and s.q for s in spine)
+    start = _stepcore._tick
+    assert e.whnf(node, 10**4) == (None, 0)
+    assert _stepcore._tick == start
 
 
 def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
