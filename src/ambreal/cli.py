@@ -26,6 +26,7 @@ from .codec import (
     sd_encode,
     sd_prefix,
     sd_prefix_interval,
+    sd2gray_node,
 )
 from .compact import (
     grayk_to_sdk,
@@ -35,8 +36,8 @@ from .compact import (
     sdk_to_grayk,
     tree_value_set,
 )
-from .engine import OUnresolved, render_obs
-from .intervals import IntervalSet, parse_interval_set
+from .engine import ObservationTooLarge, OUnresolved, render_obs
+from .intervals import parse_interval_set
 from .prelude import load_prelude
 from .terms import ParseError, TermError, parse_defs
 
@@ -65,10 +66,6 @@ def _frac(text) -> Fraction:
         return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise CliError(f"bad rational {text!r}: {exc}") from None
-
-
-def _fmt_set(s: IntervalSet) -> str:
-    return ";".join(f"[{lo},{hi}]" for lo, hi in s.intervals) or "(empty)"
 
 
 def _digit_str(d, rep) -> str:
@@ -134,11 +131,7 @@ def cmd_convert(args) -> int:
     e = prelude.engine
 
     if src == "sd":
-        node = e.apply(
-            prelude.node("sd2gray"),
-            e.apply(prelude.node("sd_emb"), e.load(inject_sd(stream))),
-        )
-        cells = extract_gray(e, node, n, fuel)
+        cells = extract_gray(e, sd2gray_node(prelude, inject_sd(stream)), n, fuel)
         print(" ".join(_digit_str(c, "gray") for c in cells))
         oracle = gray_prefix(x, n)
         ok = all(
@@ -163,6 +156,8 @@ def cmd_eval(args) -> int:
         obs = prelude.engine.observe(main, args.depth, args.fuel, args.policy)
     except RecursionError:  # parse_defs reports its own as a ParseError
         raise CliError(f"{args.file}: a term is nested too deeply") from None
+    except ObservationTooLarge as exc:
+        raise CliError(f"{args.file}: {exc}; lower --depth") from None
     print(render_obs(obs))
     return 1 if isinstance(obs, OUnresolved) else 0
 
@@ -213,7 +208,7 @@ def cmd_tree(args) -> int:
     # every reader below stops at depth; the trees themselves are lazy
     if action == "value":
         T = sd_tree(K) if args.rep == "sdk" else gray_lazy(K)
-        print(_fmt_set(tree_value_set(T, depth)))
+        print(tree_value_set(T, depth))
         return 0
 
     if action in ("encode", "convert") and depth > DUMP_DEPTH_LIMIT:
@@ -254,7 +249,7 @@ def cmd_tree(args) -> int:
 def cmd_oracle(args) -> int:
     cells = parse_digits(args.prefix, args.rep)
     s = sd_prefix_interval(cells) if args.rep == "sd" else gray_prefix_set(cells)
-    print(_fmt_set(s))
+    print(s)
     return 0
 
 

@@ -262,6 +262,13 @@ def inject_sd(stream: EPStream) -> Term:
     return _cyclic_stream(pre, per)
 
 
+def sd2gray_node(prelude, digits: Term):
+    """The node of the prelude's sd2gray applied to a plain signed-digit
+    spine through sd_emb: the Gray stream that read_gray reads."""
+    e = prelude.engine
+    return e.apply(prelude.node("sd2gray"), e.apply(prelude.node("sd_emb"), e.load(digits)))
+
+
 # Gray cells as stream heads: "plain" is the cell itself or bot, "star" the
 # finite iteration Amb(Left(cell), bot), with Amb(bot, bot) for the bot cell.
 # One term object per cell, so a stream shares its cells' terms and

@@ -51,6 +51,7 @@ from .codec import (
     gray_encode,
     inject_sd,
     read_gray,
+    sd2gray_node,
     _spine,
     SD_TERMS,
 )
@@ -455,7 +456,7 @@ class EngineGray:
 
     __slots__ = ("source", "prelude", "fuel", "_cells", "_kids", "_memo", "_codes", "__weakref__")
 
-    def __init__(self, source: SDTree, prelude, fuel=10**6, _memo=None, _codes=None):
+    def __init__(self, source: SDTree, prelude, fuel, _memo=None, _codes=None):
         self.source = source
         self.prelude = prelude
         self.fuel = fuel
@@ -470,11 +471,7 @@ class EngineGray:
             src = inject_sd(stream)
         else:  # truncated walk: finite prefix, divergent tail
             src = _spine([SD_TERMS[d] for d in stream], BOT)
-        e = self.prelude.engine
-        return e.apply(
-            self.prelude.node("sd2gray"),
-            e.apply(self.prelude.node("sd_emb"), e.load(src)),
-        )
+        return sd2gray_node(self.prelude, src)
 
     def _cell(self, pick, i):
         # the conversion's record of this code's stream: the cells read so
@@ -515,7 +512,7 @@ class EngineGray:
         return node
 
 
-def sdk_to_grayk(T: SDTree, prelude, fuel=10**6) -> EngineGray:
+def sdk_to_grayk(T: SDTree, prelude, fuel) -> EngineGray:
     return EngineGray(T, prelude, fuel)
 
 

@@ -3,19 +3,80 @@
 Two layers live here.  `det_step` is the textbook one-step relation on
 closed terms (rules: case firing, beta, rec unfolding, congruence steps,
 parallel stepping under constructors, values and bot stepping to
-themselves).  The `Engine` evaluates the same relation on a shared graph
-with memoized heads, so that Amb commitments are remembered and both arms
-of a race advance on every tick.
+themselves).  The graph machine evaluates the same relation on a shared
+mutable graph with memoized heads, so that Amb commitments are remembered
+and both arms of a race advance on every tick.  It runs the code tuples
+that compile_term makes of terms, and `Engine` drives it.
 
-Fuel counts root steps.  Exhaustion yields Unresolved, never a wrong
-answer, and any result obtained at some fuel is returned unchanged at
-every larger fuel.  Some divergence is shown before the fuel is spent:
-among others, `collapse_star` stops a finite iteration whose state
-recurs up to the closures it never applies (the unknown cell of a Gray
-code at a dyadic point), which would otherwise burn every tick given.
+Fuel counts root steps.  A "tick" of fuel is one application of the root
+step relation: beta, case firing, rec unfolding, or the congruence step
+that advances the function position, the scrutinee, or (for
+constructor-rooted terms) all children at once.  That last broadcast rule
+is what races the two arms of Amb fairly: one tick advances both.
+Exhaustion yields Unresolved, never a wrong answer, and any result
+obtained at some fuel is returned unchanged at every larger fuel.
 
-The graph machine itself lives in _stepcore; compile_term gives it, on
-every code tuple, the env slots the code reads.
+Sharing subtleties: rec unfolds to an application whose argument is the
+rec node itself, so streams are cyclic graphs.  A node's gen holds the
+tick of its last step, which keeps it from being advanced twice in one
+tick (a shared subterm steps once for all its occurrences); or the
+negative stamp of the last congruence descent that passed it, with which
+_step finds a spine that loops back on itself in one pass and freezes it
+as divergent; or, on a lambda, the tick of its last entry.
+
+Divergence is detected eagerly where sound: a node whose step is the
+identity (bot, a stuck application, a frozen scrutinee matching no clause)
+is flagged quiescent, a fuel loop that observes a no-progress tick drains
+the remaining fuel in one go, an Amb node that wins its own race becomes
+bot, and a finite-iteration collapse whose state recurs modulo the
+closures it never applies is cut off (below; the unknown cell of a Gray
+code at a dyadic point would otherwise burn every tick given).  None of
+this changes results or ticks, only the cost of reporting Unresolved.
+
+The recurrence cut-off.  At a peel boundary the future of collapse_node
+depends only on the graph its run can read from the peel root x.  _form
+writes that graph down canonically: it looks through indirections
+(they only forward to their target), descends a node's env only at the
+slots its code reads (compile_term records them as a mask on each code),
+and keeps q, kinds, tags and code identities.  A lambda is used only by
+beta: matching, binding, racing and returning it read nothing inside
+it.  So a lambda that the run will not enter is a token, and _form makes
+an opaque leaf of every lambda not entered since the previous checkpoint
+(beta stamps f.gen with the tick) and of every suspension of a lambda.
+The collapse returns Unresolved at checkpoint i+1 when its form equals
+that of checkpoint i and no opaque lambda of checkpoint i was entered
+between them.  Soundness is a simulation up to opaque leaves: equal
+forms give a bijection phi from checkpoint i's readable graph to
+checkpoint i+1's that maps opaque leaves to opaque leaves.  The run from
+checkpoint i reached checkpoint i+1 reading no opaque leaf's inside, so
+the run from checkpoint i+1 makes the phi-image of every step, node for
+node and tick for tick (a step reads only what the form holds; the gen
+stamps it compares are all older than the current tick), and it too
+ends in a Right peel having entered no opaque leaf.  Entry is mirrored,
+so the checkpoint it reaches has the same form and the same opaque
+leaves, and the argument repeats: the collapse peels Right forever.
+Codes are compared by id; no code is made while a collapse runs, so an
+id in the previous form cannot name a code made since.
+
+Two choices keep the per-tick work small without moving a tick.  A
+child position whose code is a variable is linked straight to its
+binding instead of getting a suspension of its own (as the STG machine
+never builds a thunk for a variable argument): exposing such a fresh
+suspension could only make it an indirection to that binding, and heads
+look through indirections, so every step sees the same nodes.  And a
+case's clauses are compiled (dispatch) into a table indexed by the
+scrutinee's head: one slot per constructor tag, one for a lambda, one
+for a head that is not yet a value, each holding the clauses whose top
+pattern can match that head, in order.  A clause left out of a slot is
+one whose top pattern fails at once on that head, and matching costs no
+fuel, so the first match and its bindings are those of the plain
+first-match scan.
+
+Nodes have at most two children (constructor arity is bounded by 2 and
+application/case use the same slots), stored in direct fields.
+
+The tick accounting above is pinned by exact fuel-left values in
+tests/test_engine.py.
 """
 
 from __future__ import annotations
@@ -24,7 +85,6 @@ import gc
 from dataclasses import dataclass
 from typing import Optional
 
-from . import _stepcore as _core
 from .terms import (
     ARITY,
     App,
@@ -49,12 +109,23 @@ COMPILED = False
 
 UNLIMITED = 10**15
 
-# codes that depend on nothing but their slot are shared, one per slot
-_BOT_CODE = (_core.BOT_, 0)
-_VAR_CODES = {}
+# node kinds / code opcodes (shared numbering where it helps)
+SUSP, CON, LAM, APP, CASE, REC, BOT, IND = range(8)
+# code tuples, each ending with its free-slot mask (bit i: reads env slot
+# i): (VAR_, idx, m) (CON_, tag, kids, m) (LAM_, body, m) (APP_, fn, arg, m)
+# (CASE_, scrut, dispatch table, m) (REC_, body, m) (BOT_, m)
+VAR_, CON_, LAM_, APP_, CASE_, REC_, BOT_ = range(7)
+# pattern opcodes: (PVAR,) (PFUN,) (PCON, tag, kids)
+PVAR, PFUN, PCON = range(3)
 
-TAGS = ("Nil", "Left", "Right", "Pair", "Amb")
+# constructor tags, numbered in terms.ARITY's order
+TAGS = tuple(ARITY)
 TAGNUM = {t: i for i, t in enumerate(TAGS)}
+ARITY_OF = tuple(ARITY[t] for t in TAGS)
+LEFT, RIGHT, AMB = TAGNUM["Left"], TAGNUM["Right"], TAGNUM["Amb"]
+
+# case dispatch slots after the constructor tags
+LAM_SLOT, PENDING_SLOT = len(TAGS), len(TAGS) + 1
 
 
 class EngineError(Exception):
@@ -67,6 +138,10 @@ class OpenTerm(EngineError):
 
 class MalformedStar(EngineError):
     """A finite-iteration value resolved to neither Left nor Right."""
+
+
+class ObservationTooLarge(EngineError):
+    """An observation would hold more than OBSERVE_NODE_LIMIT nodes."""
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +175,533 @@ def _det(t: Term) -> Term:
 
 
 # ---------------------------------------------------------------------------
-# compilation to the graph core's code tuples
+# the graph machine
+
+_tick = 0
+_stamp = 0  # the last congruence descent's stamp; counts down from -1
+
+
+class Node:
+    __slots__ = ("kind", "tag", "k0", "k1", "code", "env", "q", "gen")
+
+    def __init__(self, kind, tag, k0, k1, code, env):
+        self.kind = kind
+        self.tag = tag
+        self.k0 = k0
+        self.k1 = k1
+        self.code = code
+        self.env = env
+        self.q = False
+        self.gen = 0
+
+
+def follow(n):
+    """The node at the end of n's indirections, compressing the path onto
+    it.  No chain of indirections is a cycle (see resolve_node), so the
+    walk ends."""
+    if n.kind != IND:
+        return n
+    start = n
+    while n.kind == IND:
+        n = n.code
+    while start.kind == IND:  # path compression
+        nxt = start.code
+        start.code = n
+        start = nxt
+    return n
+
+
+def _link(code, env):
+    """The node for a child position.  A variable is linked straight to
+    its binding; any other code is suspended in env."""
+    if code[0] == VAR_:
+        idx = code[1]
+        while idx:
+            env = env[1]
+            idx -= 1
+        return env[0]
+    return Node(SUSP, 0, None, None, code, env)
+
+
+def head(n):
+    """The head form of n: the node at the end of its indirections, with a
+    suspension there unfolded.  A suspension of a variable becomes an
+    indirection to the variable's binding, whose head is taken in turn.
+    Costs no fuel.  Hot callers test for a SUSP or IND kind before calling."""
+    while True:
+        k = n.kind
+        if k == IND:
+            n = follow(n)
+            k = n.kind
+        if k != SUSP:
+            return n
+        code = n.code
+        env = n.env
+        op = code[0]
+        if op == VAR_:
+            target = follow(_link(code, env))
+            n.env = None
+            if target is n:
+                n.kind = BOT
+                n.code = None
+                n.q = True
+                return n
+            n.kind = IND
+            n.code = target
+            n = target
+            continue
+        if op == APP_:
+            n.kind = APP
+            n.k0 = _link(code[1], env)
+            n.k1 = _link(code[2], env)
+            n.code = None
+            n.env = None
+        elif op == CASE_:
+            n.kind = CASE
+            n.k0 = _link(code[1], env)
+            n.code = code[2]
+        elif op == CON_:
+            kids = code[2]
+            n.kind = CON
+            n.tag = code[1]
+            if kids:
+                n.k0 = _link(kids[0], env)
+                if len(kids) > 1:
+                    n.k1 = _link(kids[1], env)
+            else:
+                n.q = True
+            n.code = None
+            n.env = None
+        elif op == LAM_:
+            n.kind = LAM
+            n.code = code[1]
+            n.q = True
+            n.gen = 0  # a lambda's gen is the tick of its last entry
+        elif op == REC_:
+            n.kind = REC
+            n.code = code[1]
+        else:  # BOT_
+            n.kind = BOT
+            n.code = None
+            n.env = None
+            n.q = True
+        return n
+
+
+def dispatch(clauses):
+    """Compile a case's (pattern, body) clauses into its dispatch table.
+
+    Slot t holds the clauses that can match a constructor head of tag t,
+    LAM_SLOT those that can match a lambda and PENDING_SLOT those that
+    can match a head that is not yet a value; each slot keeps first-match
+    order.  An entry is (subpatterns, body), with None in place of
+    the subpatterns for a variable or fun(_) pattern, which binds the head
+    itself.  One pass over the clauses.
+    """
+    slots = tuple([] for _ in range(PENDING_SLOT + 1))
+    for pattern, body in clauses:
+        op = pattern[0]
+        if op == PVAR:
+            entry = (None, body)
+            for slot in slots:
+                slot.append(entry)
+        elif op == PFUN:
+            slots[LAM_SLOT].append((None, body))
+        else:
+            slots[pattern[1]].append((pattern[2], body))
+    # tuples, not lists: the collector stops tracking a tuple of untracked
+    # items, and the prelude alone holds 723 tables
+    return tuple(map(tuple, slots))
+
+
+def _match(nd, pat, binds):
+    op = pat[0]
+    if op == PVAR:
+        binds.append(nd)
+        return True
+    k = nd.kind
+    if k == SUSP or k == IND:
+        nd = head(nd)
+        k = nd.kind
+    if op == PFUN:
+        if k == LAM:
+            binds.append(nd)
+            return True
+        return False
+    if k != CON or nd.tag != pat[1]:
+        return False
+    sub = pat[2]
+    if sub:
+        if not _match(nd.k0, sub[0], binds):
+            return False
+        if len(sub) > 1 and not _match(nd.k1, sub[1], binds):
+            return False
+    return True
+
+
+def try_match(m, entries):
+    """The first of a dispatch slot's entries that matches m, the node in
+    head form whose slot it is: (bound nodes, body), or None."""
+    for sub, body in entries:
+        if sub is None:
+            return [m], body
+        binds = []
+        if not sub or (
+            _match(m.k0, sub[0], binds) and (len(sub) == 1 or _match(m.k1, sub[1], binds))
+        ):
+            return binds, body
+    return None
+
+
+def _broadcast(c):
+    """One simultaneous step of every non-quiescent child under c, a
+    constructor node.
+
+    Shared children (including cyclic occurrences) advance once per tick:
+    the generation stamp set by _step skips them on a second visit.
+    """
+    prog = False
+    allq = True
+    ch = c.k0
+    k = ch.kind
+    if k == SUSP or k == IND:
+        ch = head(ch)
+        c.k0 = ch
+    if not ch.q:
+        if ch.gen == _tick:
+            allq = False
+            prog = True
+        else:
+            if _step(ch):
+                prog = True
+            if not ch.q:
+                allq = False
+    if ARITY_OF[c.tag] > 1:
+        ch = c.k1
+        k = ch.kind
+        if k == SUSP or k == IND:
+            ch = head(ch)
+            c.k1 = ch
+        if not ch.q:
+            if ch.gen == _tick:
+                allq = False
+                prog = True
+            else:
+                if _step(ch):
+                    prog = True
+                if not ch.q:
+                    allq = False
+    if allq and not prog:
+        c.q = True
+    return prog
+
+
+def _step(x):
+    """One step at x, a node in head form.  Returns False iff x is frozen:
+    nothing changed and nothing ever will.
+
+    No quiescent node and no nullary constructor reaches _step: every
+    caller, and the descent below, skips quiescent nodes; head makes
+    lambdas, bot and nullary constructors quiescent at birth, and q is
+    never reset.  So x and each node of the congruence spine below it is
+    a constructor with children, a rec, an application or a case; the
+    final return covers any other kind.  A step never turns x into an
+    indirection (only resolve_node's commitment does), so a caller reads
+    x.q afterwards with no follow.
+
+    The descent writes a fresh stamp into gen of each spine node it
+    leaves, an application or a case whose k0 now holds the next one.
+    Meeting the stamp again closes a loop: the spine feeds itself, and the
+    k0 walk from the top freezes the descent up to the node already frozen
+    where the loop closed.  Ticks are positive and stamps negative, and a
+    spine node's gen is compared only with _tick (head resets a new
+    lambda's), so a stamp never passes for a step or an entry."""
+    global _stamp
+    top = None
+    while True:
+        if x.gen == _tick:
+            return True  # this spine's step already happened via sharing
+        k = x.kind
+        if k == CON:
+            x.gen = _tick
+            return _broadcast(x)
+        if k == REC:
+            # rec M -> M (rec M); the recursive occurrence is shared with x
+            x.gen = _tick
+            fn = _link(x.code, x.env)
+            x.kind = APP
+            x.k0 = fn
+            x.k1 = x
+            x.code = None
+            x.env = None
+            return True
+        if k == APP:
+            f = x.k0
+            k = f.kind
+            if k == SUSP or k == IND:
+                f = head(f)
+                x.k0 = f
+                k = f.kind
+            if k == LAM:
+                x.gen = _tick
+                f.gen = _tick  # entry stamp, read by collapse_node
+                arg = x.k1
+                x.kind = SUSP
+                x.code = f.code
+                x.env = (arg, f.env)
+                x.k0 = None
+                x.k1 = None
+                return True
+            if f.q:  # fn frozen as constructor/bot: application is stuck
+                x.q = True
+                return False
+            if k == CON:
+                x.gen = _tick
+                if _broadcast(f):
+                    return True
+                x.q = True
+                return False
+        elif k == CASE:
+            f = x.k0
+            k = f.kind
+            if k == SUSP or k == IND:
+                f = head(f)
+                x.k0 = f
+                k = f.kind
+            entries = x.code[f.tag if k == CON else LAM_SLOT if k == LAM else PENDING_SLOT]
+            r = try_match(f, entries) if entries else None
+            if r is not None:
+                x.gen = _tick
+                binds, body = r
+                env = x.env
+                for nd in binds:
+                    env = (nd, env)
+                x.kind = SUSP
+                x.code = body
+                x.env = env
+                x.k0 = None
+                return True
+            if f.q:
+                x.q = True
+                return False
+            if k == CON:
+                x.gen = _tick
+                if _broadcast(f):
+                    return True
+                x.q = True
+                return False
+        else:
+            return False
+        # descend the congruence spine (fn / scrutinee positions)
+        if top is None:
+            _stamp -= 1
+            stamp = _stamp
+            top = x
+        x.gen = stamp
+        x = f
+        if x.gen == stamp:  # the spine feeds itself: freeze the descent
+            while not top.q:
+                top.q = True
+                top = top.k0
+            return False
+
+
+def whnf_node(x, fuel):
+    """Drive x to weak head normal form.  Returns (node or None, fuel left)."""
+    global _tick
+    while True:
+        k = x.kind
+        if k == SUSP or k == IND:
+            x = head(x)
+            k = x.kind
+        if k == CON or k == LAM:
+            return x, fuel
+        if x.q or fuel <= 0:
+            return None, 0
+        fuel -= 1
+        _tick += 1
+        if not _step(x):
+            return None, 0
+
+
+def resolve_node(x, fuel):
+    """whnf, then race and commit Amb heads until a non-Amb value appears."""
+    global _tick
+    while True:
+        x, fuel = whnf_node(x, fuel)
+        if x is None:
+            return None, 0
+        if x.kind != CON or x.tag != AMB:
+            return x, fuel
+        while True:
+            a = x.k0
+            k = a.kind
+            if k == SUSP or k == IND:
+                a = head(a)
+                x.k0 = a
+                k = a.kind
+            if k == CON or k == LAM:
+                won = a
+                break
+            b = x.k1
+            k = b.kind
+            if k == SUSP or k == IND:
+                b = head(b)
+                x.k1 = b
+                k = b.kind
+            if k == CON or k == LAM:
+                won = b
+                break
+            if fuel <= 0 or (a.q and b.q):
+                return None, 0
+            fuel -= 1
+            _tick += 1
+            if not _step(x):
+                return None, 0
+        x.k0 = None
+        x.k1 = None
+        # Only this commitment and head's VAR_ arm make an indirection.
+        # head refuses a target whose chain ends at the node itself, and
+        # path compression only shortens chains, so the indirections form
+        # no cycle; and won is in head form, never an indirection, so
+        # pointing x at it closes a cycle only if won is x.  That is an
+        # Amb that wins its own race: rec (fun s -> Amb(s, bot)), or the
+        # inner Amb of rec (fun s -> Amb(Amb(s, bot), bot)) on the next
+        # round.  Resolving it only resolves it again, so x becomes bot.
+        if won is x:
+            x.kind = BOT
+            x.q = True
+            return None, 0
+        # commitment: the Amb node becomes its chosen branch for good
+        x.kind = IND
+        x.code = won
+        x = won
+
+
+# a collapse starts its recurrence checks after this much work (ticks and
+# peels)
+CHECK_WORK = 1024
+
+_OPAQUE = ("fun",)
+
+
+def _form(root, since):
+    """The canonical form of the graph that the run from root can read, and
+    its opaque lambdas.
+
+    A preorder walk that looks through indirections and descends only the
+    env slots a node's code reads.  A lambda not entered after tick
+    `since`, or a suspension whose code is a lambda, is an opaque leaf:
+    only the fact that it is a lambda goes into the form.  Each node's
+    entry is a tuple, or the index of its first visit; a tuple fixes how
+    many children follow it, so equal forms are isomorphic graphs."""
+    seen = {}
+    form = []
+    opaque = []
+    stack = [root]
+    while stack:
+        n = stack.pop()
+        if n.kind == IND:
+            n = follow(n)
+        i = seen.get(n)
+        if i is not None:
+            form.append(i)
+            continue
+        seen[n] = len(seen)
+        k = n.kind
+        if k == CON:
+            form.append((CON, n.tag, n.q))
+            arity = ARITY_OF[n.tag]
+            if arity:
+                stack.append(n.k0)
+                if arity > 1:
+                    stack.append(n.k1)
+            continue
+        if k == APP:
+            form.append((APP, n.q))
+            stack.append(n.k0)
+            stack.append(n.k1)
+            continue
+        code = n.code
+        if k == CASE:
+            form.append((CASE, id(code), n.q))
+            stack.append(n.k0)
+            mask = code[-1]
+        elif k == LAM:
+            if n.gen <= since:
+                form.append(_OPAQUE)
+                opaque.append(n)
+                continue
+            form.append((LAM, id(code)))
+            mask = code[-1] >> 1
+        elif k == BOT:
+            form.append((BOT,))
+            continue
+        elif k == SUSP and code[0] == LAM_:
+            form.append(_OPAQUE)
+            opaque.append(n)
+            continue
+        else:  # SUSP, REC
+            form.append((k, id(code)))
+            mask = code[-1]
+        env = n.env
+        while mask:
+            if mask & 1:
+                stack.append(env[0])
+            env = env[1]
+            mask >>= 1
+    return form, opaque
+
+
+def collapse_node(x, fuel):
+    """Resolve a finite-iteration value: peel Right(..), return whnf of the
+    Left payload.  Returns (node or None, fuel left); MalformedStar if the
+    value resolves to neither Left nor Right.
+
+    An iteration whose state recurs modulo the closures it never applies
+    is cut off (see the module docstring).  The checks are paid for by
+    work, which counts ticks and peels (a loop of peels that cost no tick
+    has no fuel to end it): they start after CHECK_WORK of work, and each
+    later one waits for as much work as the last form had entries, so a
+    collapse never spends more on checks than on steps.
+    """
+    start = since = _tick  # since: the tick of the last checkpoint
+    peels = 0
+    due = CHECK_WORK
+    mark = None  # the last checkpoint's (form, opaque lambdas)
+    while True:
+        r, fuel = resolve_node(x, fuel)
+        if r is None:
+            return None, 0
+        if r.kind == CON and r.tag == RIGHT:
+            x = r.k0
+            peels += 1
+            work = _tick - start + peels
+            if work >= due:
+                form, opaque = _form(x, since)
+                if mark is not None and form == mark[0]:
+                    for n in mark[1]:
+                        if n.gen > since:
+                            break
+                    else:
+                        return None, 0  # the state recurs
+                mark = (form, opaque)
+                since = _tick
+                due = work + len(form)
+        elif r.kind == CON and r.tag == LEFT:
+            return whnf_node(r.k0, fuel)
+        else:
+            raise MalformedStar(
+                f"iteration value resolved to {TAGS[r.tag] if r.kind == CON else 'a function'}"
+            )
+
+
+# ---------------------------------------------------------------------------
+# compilation to the graph machine's code tuples
+
+# codes that depend on nothing but their slot are shared, one per slot
+_BOT_CODE = (BOT_, 0)
+_VAR_CODES = {}
 
 
 def compile_term(t: Term, scope=()):
@@ -117,7 +718,7 @@ def compile_term(t: Term, scope=()):
             raise OpenTerm(f"unbound variable {t.name}") from None
         code = _VAR_CODES.get(idx)
         if code is None:
-            code = _VAR_CODES[idx] = (_core.VAR_, idx, 1 << idx)
+            code = _VAR_CODES[idx] = (VAR_, idx, 1 << idx)
         return code
     if isinstance(t, Con):
         # a right-nested chain (a stream spine) compiles in one loop, so
@@ -128,7 +729,7 @@ def compile_term(t: Term, scope=()):
         while isinstance(t, Con) and t.args:
             spine.append(t)
             t = t.args[-1]
-        code = (_core.CON_, TAGNUM[t.tag], (), 0) if isinstance(t, Con) else compile_term(t, scope)
+        code = (CON_, TAGNUM[t.tag], (), 0) if isinstance(t, Con) else compile_term(t, scope)
         compiled = {}
         for c in reversed(spine):
             heads = []
@@ -139,18 +740,18 @@ def compile_term(t: Term, scope=()):
                     hit = compiled[id(a)] = compile_term(a, scope)
                 heads.append(hit)
                 mask |= hit[-1]
-            code = (_core.CON_, TAGNUM[c.tag], (*heads, code), mask)
+            code = (CON_, TAGNUM[c.tag], (*heads, code), mask)
         return code
     if isinstance(t, Lam):
         body = compile_term(t.body, (t.var,) + tuple(scope))
-        return (_core.LAM_, body, body[-1] >> 1)
+        return (LAM_, body, body[-1] >> 1)
     if isinstance(t, App):
         fn = compile_term(t.fn, scope)
         arg = compile_term(t.arg, scope)
-        return (_core.APP_, fn, arg, fn[-1] | arg[-1])
+        return (APP_, fn, arg, fn[-1] | arg[-1])
     if isinstance(t, Rec):
         body = compile_term(t.body, scope)
-        return (_core.REC_, body, body[-1])
+        return (REC_, body, body[-1])
     if isinstance(t, Bot):
         return _BOT_CODE
     if isinstance(t, Case):
@@ -162,39 +763,39 @@ def compile_term(t: Term, scope=()):
             clauses.append((compile_pattern(c.pattern), body))
             mask |= body[-1] >> len(names)
         scrut = compile_term(t.scrutinee, scope)
-        return (_core.CASE_, scrut, _core.dispatch(clauses) + (mask,), scrut[-1] | mask)
+        return (CASE_, scrut, dispatch(clauses) + (mask,), scrut[-1] | mask)
     raise TypeError(t)
 
 
 def compile_pattern(p):
     if isinstance(p, PVar):
-        return (_core.PVAR,)
+        return (PVAR,)
     if isinstance(p, PFun):
-        return (_core.PFUN,)
-    return (_core.PCON, TAGNUM[p.tag], tuple(compile_pattern(a) for a in p.args))
+        return (PFUN,)
+    return (PCON, TAGNUM[p.tag], tuple(compile_pattern(a) for a in p.args))
 
 
 # ---------------------------------------------------------------------------
 # observations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Obs:
-    __slots__ = ()
+    pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OCon(Obs):
     tag: str
     children: Optional[tuple]  # None: present but not explored
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OLam(Obs):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class OUnresolved(Obs):
     pass
 
@@ -202,17 +803,36 @@ class OUnresolved(Obs):
 UNRESOLVED_OBS = OUnresolved()
 LAM_OBS = OLam()
 
+# most nodes one observation holds: as many as a tree dump of depth 12
+# (3^12).  A depth alone bounds nothing, since each level can double an
+# observation: rec (fun s -> Pair(s, s)) at depth 30 has 2^31 - 1 nodes
+OBSERVE_NODE_LIMIT = 3**12
+
 
 def render_obs(o: Obs) -> str:
-    if isinstance(o, OUnresolved):
-        return "<unresolved>"
-    if isinstance(o, OLam):
-        return "<fun>"
-    if o.children is None:
-        return o.tag if ARITY[o.tag] == 0 else f"{o.tag}(...)"
-    if not o.children:
-        return o.tag
-    return f"{o.tag}({', '.join(render_obs(c) for c in o.children)})"
+    """The text of an observation, written in pre-order from an explicit
+    stack, so its depth is not bounded by Python's."""
+    out = []
+    stack = [o]
+    while stack:
+        o = stack.pop()
+        if isinstance(o, str):  # a separator pushed below
+            out.append(o)
+        elif isinstance(o, OUnresolved):
+            out.append("<unresolved>")
+        elif isinstance(o, OLam):
+            out.append("<fun>")
+        elif o.children is None:
+            out.append(o.tag if ARITY[o.tag] == 0 else f"{o.tag}(...)")
+        elif not o.children:
+            out.append(o.tag)
+        else:
+            out += (o.tag, "(")
+            stack.append(")")
+            for c in o.children[:0:-1]:
+                stack += (c, ", ")
+            stack.append(o.children[0])
+    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -220,17 +840,17 @@ def render_obs(o: Obs) -> str:
 
 
 class Engine:
-    """Evaluation on the step core's graph.
+    """Evaluation on the graph machine.
 
-    An Engine holds no state: nodes are garbage-collected objects of
-    _stepcore, so nodes from one Engine may be used with any other.
+    An Engine holds no state: nodes are garbage-collected Node objects, so
+    nodes from one Engine may be used with any other.
     """
 
     # node plumbing
 
     def load(self, t: Term):
         """Compile a closed term into a node; OpenTerm if it is not closed."""
-        return _core.mk_node(compile_term(t))
+        return Node(SUSP, 0, None, None, compile_term(t), None)
 
     def _node(self, t):
         return self.load(t) if isinstance(t, Term) else t
@@ -238,9 +858,9 @@ class Engine:
     def view(self, node):
         """("con", tag, children) or ("lam", None, None) of a node in head
         form, as the fueled calls return it."""
-        if node.kind == _core.LAM:
+        if node.kind == LAM:
             return ("lam", None, None)
-        return ("con", TAGS[node.tag], [node.k0, node.k1][: _core.ARITY_OF[node.tag]])
+        return ("con", TAGS[node.tag], [node.k0, node.k1][: ARITY_OF[node.tag]])
 
     # fueled evaluation; every method returns (result, fuel_left), with
     # None standing for Unresolved.  Almost every node allocated during a
@@ -253,27 +873,20 @@ class Engine:
         if paused:
             gc.disable()
         try:
-            return drive(node, fuel)
+            node, left = drive(node, fuel)
         finally:
             if paused:
                 gc.enable()
+        return (self.view(node) if node is not None else None), left
 
     def whnf(self, t, fuel=UNLIMITED):
-        node, left = self._drive(_core.whnf_node, t, fuel)
-        return (self.view(node) if node is not None else None), left
+        return self._drive(whnf_node, t, fuel)
 
     def resolve_amb(self, t, fuel=UNLIMITED):
-        node, left = self._drive(_core.resolve_node, t, fuel)
-        return (self.view(node) if node is not None else None), left
+        return self._drive(resolve_node, t, fuel)
 
     def collapse_star(self, t, fuel=UNLIMITED):
-        status, node, left = self._drive(_core.collapse_node, t, fuel)
-        if status == _core.MALFORMED:
-            kind, tag, _ = self.view(node)
-            raise MalformedStar(f"iteration value resolved to {tag if kind == 'con' else 'a function'}")
-        if status == _core.UNRESOLVED:
-            return None, 0
-        return self.view(node), left
+        return self._drive(collapse_node, t, fuel)
 
     def observe(self, t, depth, fuel_per_node=UNLIMITED, policy="resolving") -> Obs:
         """Evaluate the constructor spine to `depth` levels below the root.
@@ -281,24 +894,40 @@ class Engine:
         Each node gets its own fuel, so one diverging child cannot block
         its siblings.  Under policy="resolving" every Amb head met on the
         way is collapsed; under "raw" Amb is reported as a constructor.
+        The nodes are driven in pre-order (each before its children, left
+        to right) from an explicit stack, and ObservationTooLarge stops the
+        walk past OBSERVE_NODE_LIMIT nodes.
         """
         if policy not in ("raw", "resolving"):
             raise ValueError(policy)
         drive = self.resolve_amb if policy == "resolving" else self.whnf
-        return self._observe(drive, self._node(t), depth, fuel_per_node)
-
-    def _observe(self, drive, node, depth, fuel) -> Obs:
-        view, _left = drive(node, fuel)
-        if view is None:
-            return UNRESOLVED_OBS
-        kind, name, kids = view
-        if kind == "lam":
-            return LAM_OBS
-        if not kids:
-            return OCon(name, ())
-        if depth <= 0:
-            return OCon(name, None)
-        return OCon(name, tuple(self._observe(drive, k, depth - 1, fuel) for k in kids))
+        order = []  # pre-order: a leaf observation, or (tag, child count)
+        stack = [(self._node(t), depth)]
+        while stack:
+            if len(order) == OBSERVE_NODE_LIMIT:
+                raise ObservationTooLarge(f"the observation has more than {OBSERVE_NODE_LIMIT} nodes")
+            node, depth = stack.pop()
+            view, _left = drive(node, fuel_per_node)
+            if view is None:
+                order.append(UNRESOLVED_OBS)
+                continue
+            kind, name, kids = view
+            if kind == "lam":
+                order.append(LAM_OBS)
+            elif not kids:
+                order.append(OCon(name, ()))
+            elif depth <= 0:
+                order.append(OCon(name, None))
+            else:
+                order.append((name, len(kids)))
+                stack.extend((k, depth - 1) for k in reversed(kids))
+        built = []
+        while order:
+            item = order.pop()
+            if type(item) is tuple:
+                item = OCon(item[0], tuple(built.pop() for _ in range(item[1])))
+            built.append(item)
+        return built[0]
 
     def apply(self, fnode, anode):
-        return _core.mk_app(fnode, anode)
+        return Node(APP, 0, fnode, anode, None, None)

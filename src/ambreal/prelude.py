@@ -13,7 +13,7 @@ from __future__ import annotations
 from importlib import resources
 
 from .engine import Engine
-from .terms import Case, Term, parse_defs
+from .terms import Term, parse_defs
 
 # not called here: perfbench/spans.py wraps prelude.check_compatibility by
 # name to time the compatibility checks
@@ -22,24 +22,6 @@ from .terms import check_compatibility  # noqa: F401
 
 class UnknownProgram(KeyError):
     pass
-
-
-def _cases(t: Term):
-    stack = [t]
-    while stack:
-        u = stack.pop()
-        if isinstance(u, Case):
-            yield u
-        for f in getattr(u, "__dataclass_fields__", ()):
-            v = getattr(u, f)
-            if isinstance(v, Term):
-                stack.append(v)
-            elif isinstance(v, tuple):
-                for w in v:
-                    if isinstance(w, Term):
-                        stack.append(w)
-                    elif hasattr(w, "body"):
-                        stack.append(w.body)
 
 
 class Prelude:

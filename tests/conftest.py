@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from ambreal.engine import Engine
 from ambreal.prelude import Prelude, load_prelude
-from ambreal.terms import BOT, NIL, App, Lam, Rec, Var, con
+from ambreal.terms import BOT, NIL, App, Case, Lam, Rec, Term, Var, con
 
 
 @pytest.fixture(scope="session")
@@ -26,6 +26,25 @@ def observe_app(prelude, name, args, fuel, depth=8, policy="resolving"):
     for a in args:
         node = e.apply(node, e.load(a))
     return e.observe(node, depth, fuel, policy)
+
+
+def cases(t: Term):
+    """Every case subterm of t, clause bodies included."""
+    stack = [t]
+    while stack:
+        u = stack.pop()
+        if isinstance(u, Case):
+            yield u
+        for f in getattr(u, "__dataclass_fields__", ()):
+            v = getattr(u, f)
+            if isinstance(v, Term):
+                stack.append(v)
+            elif isinstance(v, tuple):
+                for w in v:
+                    if isinstance(w, Term):
+                        stack.append(w)
+                    elif hasattr(w, "body"):
+                        stack.append(w.body)
 
 
 def random_rational(rng: random.Random, max_den=2**20) -> Fraction:

@@ -53,7 +53,7 @@ from ambreal.terms import (
     parse_term,
 )
 
-from .conftest import observe_app, random_compact, random_dyadic, random_rational
+from .conftest import cases, observe_app, random_compact, random_dyadic, random_rational
 
 
 def criterion(n, label):
@@ -231,10 +231,9 @@ def test_c6_fairness():
 
 @criterion(7, "compatibility checker")
 def test_c7_compatibility(prelude):
-    from ambreal.prelude import _cases
 
     for name in prelude.names():
-        for c in _cases(prelude.get(name)):
+        for c in cases(prelude.get(name)):
             check_compatibility(c.clauses)
     por = parse_term(
         """case x of {

@@ -11,6 +11,7 @@ import pytest
 
 from ambreal.cli import DUMP_DEPTH_LIMIT, ENCODE_DIGIT_LIMIT, VALUE_DENOMINATOR_LIMIT, main
 from ambreal.codec import gray_prefix
+from ambreal.engine import OBSERVE_NODE_LIMIT
 from ambreal.intervals import hausdorff_sets, parse_interval_set
 
 
@@ -165,6 +166,55 @@ def test_eval_deep_term(tmp_path, depth):
         assert (code, out) == (0, "Left(Left(Left(Left(...))))")
     else:
         assert code == 2 and out == "" and "nested too deeply" in err
+
+
+@pytest.mark.parametrize("depth", [400, 5000])
+def test_eval_deep_observation(tmp_path, depth):
+    # the observation is walked and printed without recursion: a deep
+    # answer prints, where it was a RecursionError traceback (exit 1) or a
+    # "nested too deeply" usage error
+    f = tmp_path / "t.cfp"
+    f.write_text("main = rec (fun s -> Pair(Nil, s)) ;")
+    code, out, err = run("eval", str(f), "--depth", str(depth))
+    assert (code, err) == (0, "")
+    assert out == "Pair(Nil, " * depth + "Pair(...)" + ")" * depth
+
+
+def test_eval_observation_past_the_node_budget(tmp_path):
+    # 2^31 - 1 nodes at depth 30: refused with exit 2 once the walk passes
+    # the budget (as many nodes as a tree dump at the depth limit), in
+    # bounded memory and with nothing printed.  The peak is
+    # the child's own (VmHWM is per process image; ru_maxrss would count
+    # the forking test process).  The child's address space is capped at
+    # 1 GiB, so a walk with no budget fails fast instead of filling memory
+    assert OBSERVE_NODE_LIMIT == 3**DUMP_DEPTH_LIMIT
+    f = tmp_path / "t.cfp"
+    f.write_text("main = rec (fun s -> Pair(s, s)) ;")
+    import ambreal
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(list(ambreal.__path__)[0]), env.get("PYTHONPATH", "")]
+    )
+    script = (
+        "import os, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from ambreal.cli import main\n"
+        "code = main(sys.argv[1:])\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(*[l for l in fh if l.startswith('VmHWM')], file=sys.stderr, end='')\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", str(f), "--depth", "30"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert f"more than {OBSERVE_NODE_LIMIT} nodes" in proc.stderr
+    peak = re.search(r"VmHWM:\s*(\d+) kB", proc.stderr)
+    if peak is not None:
+        assert int(peak.group(1)) < 200 * 1024
 
 
 # tree

@@ -22,7 +22,7 @@ from ambreal.codec import (
     DomainError,
     ShapeError,
 )
-from ambreal import _stepcore
+from ambreal.engine import CON_, REC_, VAR_
 from ambreal.engine import render_obs
 from ambreal.intervals import IntervalSet, hausdorff_sets, parse_interval_set
 from ambreal.terms import App, parse_term
@@ -275,13 +275,13 @@ def test_loaded_stream_shares_cell_codes(engine):
     code = engine.load(inject_gray(stream, "star")).code
     for cells in (stream.pre, stream.period):
         heads = {}
-        while code[0] == _stepcore.CON_:
+        while code[0] == CON_:
             head, code = code[2]
             heads.setdefault(head, set()).add(id(head))
-        assert code[0] == _stepcore.REC_ or code[0] == _stepcore.VAR_
+        assert code[0] == REC_ or code[0] == VAR_
         assert len(heads) == len(set(cells))
         assert all(len(ids) == 1 for ids in heads.values())
-        if code[0] == _stepcore.REC_:
+        if code[0] == REC_:
             code = code[1][1]  # rec (fun s -> <period spine>)
     assert extract_gray(engine, inject_gray(stream, "star"), 8, 10**4) == [1, 1, None, -1, 1, -1, None, 1]
 

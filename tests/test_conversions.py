@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import pytest
 
-from ambreal import _stepcore
+from ambreal import engine
 from ambreal.codec import (
     BOT_CELL,
     extract_gray,
@@ -143,9 +143,9 @@ def test_unknown_cell_cut_off(prelude, x):
     for _ in range(j):
         node = e.resolve_amb(node, 10**5)[0][2][1]
     cell = e.resolve_amb(node, 10**5)[0][2][0]
-    start = _stepcore._tick
+    start = engine._tick
     assert e.collapse_star(cell, 10**7) == (None, 0)
-    assert _stepcore._tick - start <= 4 * _stepcore.CHECK_WORK
+    assert engine._tick - start <= 4 * engine.CHECK_WORK
 
 
 LONG_PERIOD = """

@@ -5,12 +5,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from ambreal import _stepcore
+from ambreal import engine
 from ambreal.codec import EPStream, inject_sd, sd_encode
 from ambreal.engine import (
     TAGS,
     Engine,
     OCon,
+    OLam,
+    ObservationTooLarge,
     OpenTerm,
     OUnresolved,
     det_step,
@@ -162,6 +164,22 @@ def test_observe_depth_truncation(e):
     assert isinstance(o, OCon) and o.children is None
 
 
+def test_observe_past_the_node_limit(monkeypatch):
+    # every level of Pair(s, s) doubles the observation: 31 nodes to depth
+    # 4, 63 to depth 5; the walk stops at the limit, before the next drive
+    monkeypatch.setattr(engine, "OBSERVE_NODE_LIMIT", 31)
+    e = Engine()
+    drives = []
+    whnf = e.whnf
+    monkeypatch.setattr(e, "whnf", lambda n, fuel: drives.append(n) or whnf(n, fuel))
+    t = parse_term("rec (fun s -> Pair(s, s))")
+    assert render_obs(e.observe(t, 4, 100, "raw")).count("Pair") == 31
+    drives.clear()
+    with pytest.raises(ObservationTooLarge, match="more than 31 nodes"):
+        e.observe(t, 5, 100, "raw")
+    assert len(drives) == 31
+
+
 # ---------------------------------------------------------------------------
 # strict application
 
@@ -242,9 +260,9 @@ def test_collapse_recurring_state_unresolved(e):
     # every peel leaves the same graph: the first checkpoint after
     # CHECK_WORK of work and the next one compare equal
     t = parse_term("(rec (fun f -> fun x -> Amb(Right(f x), bot))) Nil")
-    start = _stepcore._tick
+    start = engine._tick
     assert e.collapse_star(t, 10**5) == (None, 0)
-    assert _stepcore._tick - start <= _stepcore.CHECK_WORK + 20
+    assert engine._tick - start <= engine.CHECK_WORK + 20
 
 
 @pytest.mark.parametrize(
@@ -258,9 +276,9 @@ def test_collapse_recurring_state_unresolved(e):
 def test_collapse_free_peels_stop(e, src):
     # after a few ticks each peel costs none, so no fuel bound ends the
     # loop; the checks count peels as work, so they still start
-    start = _stepcore._tick
+    start = engine._tick
     assert e.collapse_star(parse_term(src), 10**4) == (None, 0)
-    assert _stepcore._tick - start <= 10
+    assert engine._tick - start <= 10
 
 
 # a countdown whose state is a closure: each round applies the state it
@@ -286,10 +304,10 @@ def _nat(k, tag="Right"):
 def test_collapse_closure_countdown_resolves(e):
     # the entered-lambda check keeps the cut-off from firing: dropping it
     # makes this Unresolved
-    start = _stepcore._tick
+    start = engine._tick
     v, _left = e.collapse_star(App(CLOSURE_COUNTDOWN, App(MK, _nat(300, "Left"))), 10**6)
     assert v == ("con", "Nil", [])
-    assert _stepcore._tick - start > _stepcore.CHECK_WORK  # checks ran
+    assert engine._tick - start > engine.CHECK_WORK  # checks ran
 
 
 @pytest.mark.parametrize(
@@ -301,9 +319,9 @@ def test_indirection_cycle_cut_off(e, method, src):
     # inner Amb's arm is the outer Amb, which commits to the inner one),
     # so an Amb node wins its own race: committing it would close a cycle
     # of indirections, and resolve_node makes it bot instead
-    start = _stepcore._tick
+    start = engine._tick
     assert getattr(e, method)(parse_term(src), 10**4) == (None, 0)
-    assert _stepcore._tick - start <= 10
+    assert engine._tick - start <= 10
 
 
 @pytest.mark.parametrize("fuel", [100, 10**5])
@@ -328,13 +346,13 @@ def test_observe_pauses_the_collector(e, monkeypatch, policy, drive):
     # observe reads every node through a fueled call, so the collector
     # stays paused while the core runs, as for whnf / resolve_amb
     paused = []
-    core = getattr(_stepcore, drive)
+    core = getattr(engine, drive)
 
     def spy(x, fuel):
         paused.append(not gc.isenabled())
         return core(x, fuel)
 
-    monkeypatch.setattr(_stepcore, drive, spy)
+    monkeypatch.setattr(engine, drive, spy)
     was = gc.isenabled()
     gc.enable()
     try:
@@ -371,13 +389,13 @@ def test_por_bot_bot(e):
 
 
 def _patterns(depth=2):
-    leaves = st.sampled_from([(_stepcore.PVAR,), (_stepcore.PFUN,)])
+    leaves = st.sampled_from([(engine.PVAR,), (engine.PFUN,)])
     if depth == 0:
         return leaves
     sub = _patterns(depth - 1)
     cons = st.integers(0, 4).flatmap(
-        lambda tag: st.tuples(*[sub] * _stepcore.ARITY_OF[tag]).map(
-            lambda kids: (_stepcore.PCON, tag, kids)
+        lambda tag: st.tuples(*[sub] * engine.ARITY_OF[tag]).map(
+            lambda kids: (engine.PCON, tag, kids)
         )
     )
     return leaves | cons
@@ -398,16 +416,16 @@ def _scrutinees(depth=2):
 
 def _first_match(m, clauses):
     def match(nd, pat, binds):
-        if pat[0] == _stepcore.PVAR:
+        if pat[0] == engine.PVAR:
             binds.append(nd)
             return True
-        nd = _stepcore.head(nd)
-        if pat[0] == _stepcore.PFUN:
-            if nd.kind != _stepcore.LAM:
+        nd = engine.head(nd)
+        if pat[0] == engine.PFUN:
+            if nd.kind != engine.LAM:
                 return False
             binds.append(nd)
             return True
-        if nd.kind != _stepcore.CON or nd.tag != pat[1]:
+        if nd.kind != engine.CON or nd.tag != pat[1]:
             return False
         return all(match(k, p, binds) for k, p in zip((nd.k0, nd.k1), pat[2]))
 
@@ -422,13 +440,13 @@ def _first_match(m, clauses):
 @given(st.lists(_patterns(), min_size=1, max_size=6), _scrutinees())
 def test_dispatch_keeps_first_match_order(patterns, t):
     clauses = tuple((p, ("body", i)) for i, p in enumerate(patterns))
-    m = _stepcore.head(Engine().load(t))
-    table = _stepcore.dispatch(clauses)
-    if m.kind == _stepcore.CON:
+    m = engine.head(Engine().load(t))
+    table = engine.dispatch(clauses)
+    if m.kind == engine.CON:
         slot = m.tag
     else:
-        slot = _stepcore.LAM_SLOT if m.kind == _stepcore.LAM else _stepcore.PENDING_SLOT
-    got = _stepcore.try_match(m, table[slot])
+        slot = engine.LAM_SLOT if m.kind == engine.LAM else engine.PENDING_SLOT
+    got = engine.try_match(m, table[slot])
     want = _first_match(m, clauses)
     if want is None:
         assert got is None
@@ -545,9 +563,9 @@ def test_graph_machine_conforms_to_det_step(t):
     # save steps).  An Unresolved before the fuel is spent is a divergence
     # cut-off (a quiescent drain or a frozen spine): det_step must then
     # reach no head within ten times the budget.
-    start = _stepcore._tick
+    start = engine._tick
     v, left = Engine().whnf(t, CONFORM_STEPS)
-    cut_off = v is None and _stepcore._tick - start < CONFORM_STEPS
+    cut_off = v is None and engine._tick - start < CONFORM_STEPS
     limit = 10 * CONFORM_STEPS if cut_off else CONFORM_STEPS
     # a term the machine cut off may grow an application deeper with every
     # unfolding, as (fun g -> rec (fun g -> g g)) Nil does, and det_step
@@ -567,6 +585,47 @@ def test_graph_machine_conforms_to_det_step(t):
     assert CONFORM_STEPS - left <= k
 
 
+def _observe_recursively(drive, node, depth, fuel):
+    """The observation walk as plain recursion: the order the stack walk
+    of Engine.observe must keep."""
+    view, _left = drive(node, fuel)
+    if view is None:
+        return OUnresolved()
+    kind, name, kids = view
+    if kind == "lam":
+        return OLam()
+    if not kids:
+        return OCon(name, ())
+    if depth <= 0:
+        return OCon(name, None)
+    return OCon(name, tuple(_observe_recursively(drive, k, depth - 1, fuel) for k in kids))
+
+
+# both children share one countdown of 23 ticks and each node gets 15: the
+# left child runs out, the right one finishes the work
+SHARED_COUNTDOWN = (
+    "(fun x -> Pair(x, x)) ((rec (fun f -> fun n -> case n of { Left(m) -> f m; Nil -> Nil }))"
+    f" {'Left(' * 10}Nil{')' * 10})"
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(closed_terms(), slow_terms()), st.sampled_from(["raw", "resolving"]))
+@example(parse_term(SHARED_COUNTDOWN), "raw")
+@example(parse_term(STAMP_K1), "raw")
+def test_observe_keeps_the_recursive_order(t, policy):
+    # same nodes driven in the same order: the same observation, and the
+    # same ticks spent
+    e = Engine()
+    drive = e.resolve_amb if policy == "resolving" else e.whnf
+    start = engine._tick
+    want = _observe_recursively(drive, e.load(t), 3, 15)
+    ticks = engine._tick - start
+    start = engine._tick
+    got = e.observe(t, 3, 15, policy)
+    assert (got, engine._tick - start) == (want, ticks)
+
+
 def test_frozen_spine_cut_off(e):
     # the unfolded rec applies itself to Nil, so the congruence descent
     # meets the stepped node again: _step freezes the spine and whnf
@@ -574,9 +633,9 @@ def test_frozen_spine_cut_off(e):
     # two steps, so it is checked here, not by the conformance property,
     # whose 10x budget would overflow _det's recursion.
     t = parse_term("rec (fun f -> f Nil)")
-    start = _stepcore._tick
+    start = engine._tick
     assert e.whnf(t, 10**4) == (None, 0)
-    assert _stepcore._tick - start == 3
+    assert engine._tick - start == 3
     for _ in range(CONFORM_STEPS):
         assert not isinstance(t, (Con, Lam))
         t = det_step(t)
@@ -590,19 +649,19 @@ def test_frozen_spine_loop_below_top(e):
     case = "case {} of {{ Nil -> Nil }}"
     loop = "rec (fun s -> " + case.format(case.format(case.format("s"))) + ")"
     node = e.load(parse_term(case.format(case.format(loop))))
-    start = _stepcore._tick
+    start = engine._tick
     assert e.whnf(node, 10**4) == (None, 0)
-    assert _stepcore._tick - start == 3
+    assert engine._tick - start == 3
     spine = []
     n = node
     while n not in spine:
         spine.append(n)
         n = n.k0
     assert spine.index(n) == 2 and len(spine) == 5
-    assert all(s.kind == _stepcore.CASE and s.q for s in spine)
-    start = _stepcore._tick
+    assert all(s.kind == engine.CASE and s.q for s in spine)
+    start = engine._tick
     assert e.whnf(node, 10**4) == (None, 0)
-    assert _stepcore._tick == start
+    assert engine._tick == start
 
 
 def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
@@ -611,21 +670,21 @@ def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
     # as much work (ticks and peels) as the last form had entries;
     # checking at every peel would make this collapse quadratic in k
     sizes = []
-    form = _stepcore._form
+    form = engine._form
 
     def spy(root, since):
         f, opaque = form(root, since)
         sizes.append(len(f))
         return f, opaque
 
-    monkeypatch.setattr(_stepcore, "_form", spy)
+    monkeypatch.setattr(engine, "_form", spy)
     it = parse_term(
         "rec (fun f -> fun n -> fun acc -> case n of { Nil -> Amb(Left(acc), bot);"
         " Left(m) -> Amb(Right(f m (Pair(m, acc))), bot) })"
     )
-    start = _stepcore._tick
+    start = engine._tick
     v, _left = Engine().collapse_star(App(App(it, _nat(2000, "Left")), NIL), 10**6)
-    ticks = _stepcore._tick - start
+    ticks = engine._tick - start
     assert v[1] == "Pair" and ticks == 6005
     assert len(sizes) >= 3 and sum(sizes[:-1]) <= ticks + 2000
 
@@ -633,7 +692,7 @@ def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
 # ---------------------------------------------------------------------------
 # the collapse's recurrence cut-off against a plain peel loop
 
-CUT_BUDGET = 4 * _stepcore.CHECK_WORK
+CUT_BUDGET = 4 * engine.CHECK_WORK
 
 
 def _plain_collapse(node, fuel):
@@ -642,14 +701,14 @@ def _plain_collapse(node, fuel):
     peels stopped costing ticks)."""
     e = Engine()
     for _ in range(fuel + 1):
-        r, fuel = _stepcore.resolve_node(node, fuel)
+        r, fuel = engine.resolve_node(node, fuel)
         if r is None:
             return None, 0
-        if r.kind == _stepcore.CON and r.tag == _stepcore.RIGHT:
+        if r.kind == engine.CON and r.tag == engine.RIGHT:
             node = r.k0
             continue
-        assert r.kind == _stepcore.CON and r.tag == _stepcore.LEFT
-        v, fuel = _stepcore.whnf_node(r.k0, fuel)
+        assert r.kind == engine.CON and r.tag == engine.LEFT
+        v, fuel = engine.whnf_node(r.k0, fuel)
         return (e.view(v) if v is not None else None), fuel
     return None, 0
 
@@ -718,9 +777,9 @@ def test_collapse_cut_off_is_sound(spec):
     # the plain loop's, with the same fuel left (checks cost no tick)
     build, *args = spec
     t = build(*args)
-    start = _stepcore._tick
+    start = engine._tick
     got = Engine().collapse_star(t, CUT_BUDGET)
-    if got[0] is None and _stepcore._tick - start < CUT_BUDGET:
+    if got[0] is None and engine._tick - start < CUT_BUDGET:
         assert _plain_collapse(Engine().load(t), 10 * CUT_BUDGET) == (None, 0)
     elif got[0] is not None:
         v, left = _plain_collapse(Engine().load(t), CUT_BUDGET)
@@ -847,11 +906,6 @@ def test_collapse_fuel_left(prelude):
     for x in (Fraction(1, 3), Fraction(1, 64), Fraction(-7, 32), Fraction(0)):
         s = sd_encode(x)
         n = e.apply(p.node("f_d"), e.apply(p.node("sd_emb"), e.load(inject_sd(s))))
-        status, v, left = _stepcore.collapse_node(n, 10**4)
-        got.append((status, v and e.view(v)[1], left))
-    assert got == [
-        (_stepcore.OK, "Right", 9964),
-        (_stepcore.OK, "Right", 9876),
-        (_stepcore.OK, "Left", 9951),
-        (_stepcore.UNRESOLVED, None, 0),
-    ]
+        v, left = engine.collapse_node(n, 10**4)
+        got.append((v and e.view(v)[1], left))
+    assert got == [("Right", 9964), ("Right", 9876), ("Left", 9951), (None, 0)]

@@ -25,4 +25,4 @@ def test_sdist_ships_prelude(tmp_path):
     with tarfile.open(archive) as tar:
         names = {n.split("/", 1)[1] for n in tar.getnames() if "/" in n}
     assert "src/ambreal/prelude.cfp" in names
-    assert "src/ambreal/_stepcore.py" in names
+    assert "src/ambreal/engine.py" in names

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from ambreal import _stepcore
+from ambreal import engine
 from ambreal.codec import EPStream, inject_sd, sd_encode
 from ambreal.engine import render_obs
 from ambreal.terms import (
@@ -15,7 +15,7 @@ from ambreal.terms import (
     parse_term,
 )
 
-from .conftest import observe_app
+from .conftest import cases, observe_app
 
 TRUE = con("Left", NIL)
 FALSE = con("Right", NIL)
@@ -42,13 +42,12 @@ def test_prelude_complete(prelude):
 
 
 def test_prelude_entries_closed_and_compatible(prelude):
-    from ambreal.prelude import _cases
     from ambreal.terms import free_vars
 
     for name in prelude.names():
         t = prelude.get(name)
         assert not free_vars(t), name
-        for c in _cases(t):
+        for c in cases(t):
             check_compatibility(c.clauses)
 
 
@@ -243,9 +242,9 @@ def test_caibs_zero_diverges(prelude):
             prelude.node("f_d"),
             e.apply(prelude.node("sd_emb"), e.load(inject_sd(s))),
         )
-        start = _stepcore._tick
+        start = engine._tick
         assert e.collapse_star(node, fuel)[0] is None
-        assert _stepcore._tick - start <= 2 * _stepcore.CHECK_WORK
+        assert engine._tick - start <= 2 * engine.CHECK_WORK
 
 
 @pytest.mark.parametrize("zeros", [60, 200, 1000])
