@@ -36,7 +36,7 @@ from .compact import (
     sdk_to_grayk,
     tree_value_set,
 )
-from .engine import ObservationTooLarge, OUnresolved, render_obs
+from .engine import UNRESOLVED_TEXT, ObservationTooLarge
 from .intervals import parse_interval_set
 from .prelude import load_prelude
 from .terms import ParseError, TermError, parse_defs
@@ -55,6 +55,10 @@ ENCODE_DIGIT_LIMIT = 10_000
 # denominator (1/262139 has a 262 138-digit signed-digit period: ~1.6 s
 # and ~100 MB)
 VALUE_DENOMINATOR_LIMIT = 2**18
+# most digits convert reads through the engine, by source: sd to gray
+# spends ticks quadratic in the digits (100 digits of 1/3: ~4 s and
+# ~60 MB), gray to sd linear ones (10 000 digits: ~4.5 s and <100 MB)
+CONVERT_DIGIT_LIMIT = {"sd": 100, "gray": 10_000}
 
 
 class CliError(Exception):
@@ -125,6 +129,9 @@ def cmd_convert(args) -> int:
             out = _input_stream(args, src)[0].take(n)
         print(" ".join(_digit_str(d, dst) for d in out))
         return 0
+    limit = CONVERT_DIGIT_LIMIT[src]
+    if n > limit:
+        raise CliError(f"convert {src} {dst} reads {n} digits through the engine; the limit is {limit}")
 
     stream, x = _input_stream(args, src)
     prelude = load_prelude()
@@ -158,8 +165,8 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.file}: a term is nested too deeply") from None
     except ObservationTooLarge as exc:
         raise CliError(f"{args.file}: {exc}; lower --depth") from None
-    print(render_obs(obs))
-    return 1 if isinstance(obs, OUnresolved) else 0
+    print(obs)
+    return 1 if obs == UNRESOLVED_TEXT else 0
 
 
 def _dump_sd(tree, depth) -> str:

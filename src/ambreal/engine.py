@@ -82,8 +82,6 @@ tests/test_engine.py.
 from __future__ import annotations
 
 import gc
-from dataclasses import dataclass
-from typing import Optional
 
 from .terms import (
     ARITY,
@@ -778,61 +776,13 @@ def compile_pattern(p):
 # ---------------------------------------------------------------------------
 # observations
 
-
-@dataclass(frozen=True, slots=True)
-class Obs:
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class OCon(Obs):
-    tag: str
-    children: Optional[tuple]  # None: present but not explored
-
-
-@dataclass(frozen=True, slots=True)
-class OLam(Obs):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class OUnresolved(Obs):
-    pass
-
-
-UNRESOLVED_OBS = OUnresolved()
-LAM_OBS = OLam()
+# the text of a node whose fuel ran out
+UNRESOLVED_TEXT = "<unresolved>"
 
 # most nodes one observation holds: as many as a tree dump of depth 12
 # (3^12).  A depth alone bounds nothing, since each level can double an
 # observation: rec (fun s -> Pair(s, s)) at depth 30 has 2^31 - 1 nodes
 OBSERVE_NODE_LIMIT = 3**12
-
-
-def render_obs(o: Obs) -> str:
-    """The text of an observation, written in pre-order from an explicit
-    stack, so its depth is not bounded by Python's."""
-    out = []
-    stack = [o]
-    while stack:
-        o = stack.pop()
-        if isinstance(o, str):  # a separator pushed below
-            out.append(o)
-        elif isinstance(o, OUnresolved):
-            out.append("<unresolved>")
-        elif isinstance(o, OLam):
-            out.append("<fun>")
-        elif o.children is None:
-            out.append(o.tag if ARITY[o.tag] == 0 else f"{o.tag}(...)")
-        elif not o.children:
-            out.append(o.tag)
-        else:
-            out += (o.tag, "(")
-            stack.append(")")
-            for c in o.children[:0:-1]:
-                stack += (c, ", ")
-            stack.append(o.children[0])
-    return "".join(out)
 
 
 # ---------------------------------------------------------------------------
@@ -888,46 +838,54 @@ class Engine:
     def collapse_star(self, t, fuel=UNLIMITED):
         return self._drive(collapse_node, t, fuel)
 
-    def observe(self, t, depth, fuel_per_node=UNLIMITED, policy="resolving") -> Obs:
-        """Evaluate the constructor spine to `depth` levels below the root.
+    def observe(self, t, depth, fuel_per_node=UNLIMITED, policy="resolving") -> str:
+        """The text of the constructor spine evaluated to `depth` levels
+        below the root.
 
-        Each node gets its own fuel, so one diverging child cannot block
-        its siblings.  Under policy="resolving" every Amb head met on the
-        way is collapsed; under "raw" Amb is reported as a constructor.
-        The nodes are driven in pre-order (each before its children, left
-        to right) from an explicit stack, and ObservationTooLarge stops the
-        walk past OBSERVE_NODE_LIMIT nodes.
+        A constructor is written `Tag(a, b)`, or `Tag` without arguments;
+        one whose children lie below the depth is written `Tag(...)`.  A
+        lambda is written `<fun>`, and a node whose fuel ran out
+        UNRESOLVED_TEXT.  Each node gets its own fuel, so one diverging
+        child cannot block its siblings.  Under policy="resolving" every
+        Amb head met on the way is collapsed; under "raw" Amb is reported
+        as a constructor.  The nodes are driven in pre-order (each before
+        its children, left to right) from an explicit stack, which also
+        holds the separators written between them, and ObservationTooLarge
+        stops the walk past OBSERVE_NODE_LIMIT nodes.
         """
         if policy not in ("raw", "resolving"):
             raise ValueError(policy)
         drive = self.resolve_amb if policy == "resolving" else self.whnf
-        order = []  # pre-order: a leaf observation, or (tag, child count)
+        out = []
+        driven = 0
         stack = [(self._node(t), depth)]
         while stack:
-            if len(order) == OBSERVE_NODE_LIMIT:
+            item = stack.pop()
+            if type(item) is str:  # a separator pushed below
+                out.append(item)
+                continue
+            if driven == OBSERVE_NODE_LIMIT:
                 raise ObservationTooLarge(f"the observation has more than {OBSERVE_NODE_LIMIT} nodes")
-            node, depth = stack.pop()
+            driven += 1
+            node, depth = item
             view, _left = drive(node, fuel_per_node)
             if view is None:
-                order.append(UNRESOLVED_OBS)
+                out.append(UNRESOLVED_TEXT)
                 continue
             kind, name, kids = view
             if kind == "lam":
-                order.append(LAM_OBS)
+                out.append("<fun>")
             elif not kids:
-                order.append(OCon(name, ()))
+                out.append(name)
             elif depth <= 0:
-                order.append(OCon(name, None))
+                out.append(f"{name}(...)")
             else:
-                order.append((name, len(kids)))
-                stack.extend((k, depth - 1) for k in reversed(kids))
-        built = []
-        while order:
-            item = order.pop()
-            if type(item) is tuple:
-                item = OCon(item[0], tuple(built.pop() for _ in range(item[1])))
-            built.append(item)
-        return built[0]
+                out += (name, "(")
+                stack.append(")")
+                for k in kids[:0:-1]:
+                    stack += ((k, depth - 1), ", ")
+                stack.append((kids[0], depth - 1))
+        return "".join(out)
 
     def apply(self, fnode, anode):
         return Node(APP, 0, fnode, anode, None, None)

@@ -9,7 +9,13 @@ from fractions import Fraction
 
 import pytest
 
-from ambreal.cli import DUMP_DEPTH_LIMIT, ENCODE_DIGIT_LIMIT, VALUE_DENOMINATOR_LIMIT, main
+from ambreal.cli import (
+    CONVERT_DIGIT_LIMIT,
+    DUMP_DEPTH_LIMIT,
+    ENCODE_DIGIT_LIMIT,
+    VALUE_DENOMINATOR_LIMIT,
+    main,
+)
 from ambreal.codec import gray_prefix
 from ambreal.engine import OBSERVE_NODE_LIMIT
 from ambreal.intervals import hausdorff_sets, parse_interval_set
@@ -418,6 +424,23 @@ def test_convert_value_at_the_denominator_limit():
     x = Fraction(1, VALUE_DENOMINATOR_LIMIT)
     code, out, _ = run("convert", "sd", "gray", "--value", str(x), "--digits", "4")
     assert code == 0 and out == " ".join(str(c) for c in gray_prefix(x, 4))
+
+
+@pytest.mark.parametrize("src, dst", [("sd", "gray"), ("gray", "sd")])
+def test_convert_above_the_digit_limit(monkeypatch, src, dst):
+    # refused before the input's period is searched or the prelude loads
+    import ambreal.cli
+    import ambreal.codec
+
+    def unused(*args):
+        raise AssertionError("nothing is read above the limit")
+
+    monkeypatch.setattr(ambreal.codec, "_orbit", unused)
+    monkeypatch.setattr(ambreal.cli, "load_prelude", unused)
+    n = CONVERT_DIGIT_LIMIT[src] + 1
+    code, out, err = run("convert", src, dst, "--value", "1/3", "--digits", str(n))
+    assert code == 2 and out == ""
+    assert f"reads {n} digits through the engine; the limit is {CONVERT_DIGIT_LIMIT[src]}" in err
 
 
 @pytest.mark.parametrize("rep, digits", [("sd", "0 0 0 0"), ("gray", "1 1 -1 -1")])

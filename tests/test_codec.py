@@ -23,7 +23,6 @@ from ambreal.codec import (
     ShapeError,
 )
 from ambreal.engine import CON_, REC_, VAR_
-from ambreal.engine import render_obs
 from ambreal.intervals import IntervalSet, hausdorff_sets, parse_interval_set
 from ambreal.terms import App, parse_term
 
@@ -263,7 +262,7 @@ def test_inject_gray_plain_bot_cell(engine):
     g0 = gray_encode(0)
     t = inject_gray(g0, "plain")
     # cell 0 is literally bot; cells 1, 2 are readable
-    assert render_obs(engine.observe(t, 4, 10**4)) == (
+    assert engine.observe(t, 4, 10**4) == (
         "Pair(<unresolved>, Pair(Right(Nil), Pair(Left(Nil), Pair(Left(...), Pair(...)))))"
     )
 

@@ -16,6 +16,7 @@ from ambreal.compact import (
     SDTree,
     TruncatedTree,
     UnresolvedNode,
+    _ONE_TREE,
     _neg,
     _probe_digits,
     grayk_to_sdk,
@@ -171,6 +172,13 @@ def test_tent_child_examples():
     assert tree_value_set(out, 5) == tree_value_set(sd_tree(pt(1)), 5)
     TF = sd_tree(FULL)
     assert tree_value_set(sdk_tent_child(TF, 1), 3) == FULL
+    # F = {-1} on the tree of {0}: K_1 = {0}, whose image is the constant
+    # tree of {1}
+    T = SDTree({-1}, kids={-1: _ONE_TREE})
+    assert tree_value_set(T, 6) == IntervalSet([(Fraction(-1, 32), 0)])
+    out = sdk_tent_child(T, 1)
+    assert out is _ONE_TREE
+    assert tree_value_set(out, 6) == IntervalSet([(Fraction(31, 32), 1)])
 
 
 def test_tent_child_law_random():
@@ -188,6 +196,24 @@ def test_tent_child_law_random():
             assert hausdorff_sets(V, image) <= Fraction(2, 2**n)
 
 
+@pytest.mark.parametrize(
+    "K, ds",
+    [(pt(0), (-1, 1)), (IntervalSet([(0, H)]), (-1,)), (IntervalSet([(-H, 0)]), (1,))],
+)
+def test_tent_child_past_a_digit_set_that_is_not_maximal(K, ds):
+    # grayk_to_sdk picks the root digit set by probe priority, so it leaves
+    # out a d whose restriction is nonempty: the tent image is then reached
+    # through the 0-child
+    T = grayk_to_sdk(gray_lazy(K), 8)
+    for d in ds:
+        Kd = restrict(K, d)
+        assert d not in T.digits and Kd
+        image = Kd.affine(2, 1) if d == -1 else Kd.affine(-2, 1)
+        V = tree_value_set(sdk_tent_child(T, d), 6)
+        assert V == IntervalSet([(Fraction(31, 32), 1)])
+        assert hausdorff_sets(V, image) <= Fraction(1, 2**5)
+
+
 # ---------------------------------------------------------------------------
 # hausdorff on trees
 
@@ -196,6 +222,9 @@ def test_hausdorff_trunc_examples():
     Z, O = sd_tree(pt(0)), sd_tree(pt(1))
     assert hausdorff_trunc(Z, Z, 6) == 0
     assert hausdorff_trunc(Z, O, 6) == H
+    # below a depth-3 output's leaves there is nothing left to differ
+    A = grayk_to_sdk(gray_lazy(FULL), 3)
+    assert hausdorff_trunc(A, A, 6) == 0
 
 
 def _first_diff(S, T, depth):

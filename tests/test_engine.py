@@ -9,14 +9,11 @@ from ambreal import engine
 from ambreal.codec import EPStream, inject_sd, sd_encode
 from ambreal.engine import (
     TAGS,
+    UNRESOLVED_TEXT,
     Engine,
-    OCon,
-    OLam,
     ObservationTooLarge,
     OpenTerm,
-    OUnresolved,
     det_step,
-    render_obs,
 )
 from ambreal.prelude import Prelude, load_prelude
 from ambreal.terms import (
@@ -146,22 +143,22 @@ def test_tie_breaks_left(e):
 
 def test_observe_raw_spine(e):
     o = e.observe(parse_term("Pair(Nil, Pair(Nil, bot))"), 3, 1000, "raw")
-    assert render_obs(o) == "Pair(Nil, Pair(Nil, <unresolved>))"
+    assert o == "Pair(Nil, Pair(Nil, <unresolved>))"
 
 
 def test_observe_resolving_collapses(e):
     o = e.observe(parse_term("Amb(bot, Pair(Nil, Nil))"), 2, 10**4, "resolving")
-    assert render_obs(o) == "Pair(Nil, Nil)"
+    assert o == "Pair(Nil, Nil)"
 
 
 def test_observe_raw_amb(e):
     o = e.observe(parse_term("Amb(Nil, bot)"), 1, 1000, "raw")
-    assert render_obs(o) == "Amb(Nil, <unresolved>)"
+    assert o == "Amb(Nil, <unresolved>)"
 
 
 def test_observe_depth_truncation(e):
     o = e.observe(parse_term("Left(Left(Nil))"), 0, 100)
-    assert isinstance(o, OCon) and o.children is None
+    assert o == "Left(...)"
 
 
 def test_observe_past_the_node_limit(monkeypatch):
@@ -173,7 +170,7 @@ def test_observe_past_the_node_limit(monkeypatch):
     whnf = e.whnf
     monkeypatch.setattr(e, "whnf", lambda n, fuel: drives.append(n) or whnf(n, fuel))
     t = parse_term("rec (fun s -> Pair(s, s))")
-    assert render_obs(e.observe(t, 4, 100, "raw")).count("Pair") == 31
+    assert e.observe(t, 4, 100, "raw").count("Pair") == 31
     drives.clear()
     with pytest.raises(ObservationTooLarge, match="more than 31 nodes"):
         e.observe(t, 5, 100, "raw")
@@ -199,26 +196,23 @@ def strict_apply(f, a):
 def test_strict_apply_value(e):
     f = parse_term("fun x -> Nil")
     o = e.observe(strict_apply(f, parse_term("Left(Nil)")), 1, 1000)
-    assert render_obs(o) == "Nil"
+    assert o == "Nil"
 
 
 def test_strict_apply_bot(e):
     f = parse_term("fun x -> Nil")
-    assert isinstance(e.observe(strict_apply(f, BOT), 1, 10**5), OUnresolved)
+    assert e.observe(strict_apply(f, BOT), 1, 10**5) == UNRESOLVED_TEXT
 
 
 def test_strict_apply_passes_argument(e):
     f = parse_term("fun x -> x")
     o = e.observe(strict_apply(f, parse_term("Right(Nil)")), 2, 1000)
-    assert render_obs(o) == "Right(Nil)"
+    assert o == "Right(Nil)"
 
 
 def test_strict_apply_excludes_amb(e):
     f = parse_term("fun x -> Nil")
-    assert isinstance(
-        e.observe(strict_apply(f, parse_term("Amb(Nil, Nil)")), 1, 10**4),
-        OUnresolved,
-    )
+    assert e.observe(strict_apply(f, parse_term("Amb(Nil, Nil)")), 1, 10**4) == UNRESOLVED_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +354,7 @@ def test_observe_pauses_the_collector(e, monkeypatch, policy, drive):
         assert gc.isenabled()
     finally:
         (gc.enable if was else gc.disable)()
-    assert o != OUnresolved() and len(paused) >= 3 and all(paused)
+    assert o != UNRESOLVED_TEXT and len(paused) >= 3 and all(paused)
 
 
 # ---------------------------------------------------------------------------
@@ -376,12 +370,11 @@ def test_observe_pauses_the_collector(e, monkeypatch, policy, drive):
     ],
 )
 def test_por(e, arg, want):
-    assert render_obs(e.observe(App(POR, arg), 2, 10**4)) == want
+    assert e.observe(App(POR, arg), 2, 10**4) == want
 
 
 def test_por_bot_bot(e):
-    o = e.observe(App(POR, con("Pair", BOT, BOT)), 2, 10**6)
-    assert isinstance(o, OUnresolved)
+    assert e.observe(App(POR, con("Pair", BOT, BOT)), 2, 10**6) == UNRESOLVED_TEXT
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +458,7 @@ def test_fuel_monotone(t, fuel):
     e1, e2 = Engine(), Engine()
     r1 = e1.observe(t, 3, fuel)
     r2 = e2.observe(t, 3, fuel * 4)
-    if not isinstance(r1, OUnresolved):
+    if r1 != UNRESOLVED_TEXT:
         assert r1 == r2
 
 
@@ -590,15 +583,15 @@ def _observe_recursively(drive, node, depth, fuel):
     of Engine.observe must keep."""
     view, _left = drive(node, fuel)
     if view is None:
-        return OUnresolved()
+        return UNRESOLVED_TEXT
     kind, name, kids = view
     if kind == "lam":
-        return OLam()
+        return "<fun>"
     if not kids:
-        return OCon(name, ())
+        return name
     if depth <= 0:
-        return OCon(name, None)
-    return OCon(name, tuple(_observe_recursively(drive, k, depth - 1, fuel) for k in kids))
+        return f"{name}(...)"
+    return f"{name}({', '.join(_observe_recursively(drive, k, depth - 1, fuel) for k in kids)})"
 
 
 # both children share one countdown of 23 ticks and each node gets 15: the
@@ -771,6 +764,9 @@ def iterations():
 @example((_iteration, "closure", "grow", True, 300))
 @example((_first_sign, (0,) * 150, (0,)))
 @example((_first_sign, (0,) * 150 + (1,), (0,)))
+# the race exposes the stuck application Nil Nil and never wins it: the
+# checkpoint form meets an application node
+@example((parse_term, "(rec (fun f -> fun x -> Amb(x, Right(f x)))) (Nil Nil)"))
 def test_collapse_cut_off_is_sound(spec):
     # an Unresolved before the budget is spent must be one that a plain
     # peel loop also reaches at ten times the budget; a resolved value is
@@ -820,7 +816,7 @@ def test_observation_never_mixes_branches():
     v, _ = e.resolve_amb(node, 10**4)
     assert v[1] == "Left"
     o = e.observe(node, 2, 10**3, "raw")
-    assert render_obs(o) == "Left(Nil)"
+    assert o == "Left(Nil)"
 
 
 @pytest.mark.parametrize(
