@@ -16,11 +16,10 @@ from .codec import (
     BOT_CELL,
     extract_gray,
     extract_sd,
+    gray2sd_node,
     gray_encode,
     gray_prefix,
     gray_prefix_set,
-    inject_gray,
-    inject_sd,
     parse_digits,
     parse_stream,
     sd_encode,
@@ -50,15 +49,15 @@ DUMP_DEPTH_LIMIT = 12
 # numerators of up to N+1 bits, and Python prints an int of at most 4 300
 # decimal digits (~14 280 bits) by default
 ENCODE_DIGIT_LIMIT = 10_000
-# largest denominator of a convert --value between sd and gray: the engine
-# loads the whole period of the stream, which can be as long as the
-# denominator (1/262139 has a 262 138-digit signed-digit period: ~1.6 s
-# and ~100 MB)
+# largest denominator of a convert --value between sd and gray, and of the
+# endpoints of a tree that encodes Gray codes: periods can be as long as twice
+# it (1/262139 has a 262 138-digit signed-digit period: ~1.6 s and ~100 MB)
 VALUE_DENOMINATOR_LIMIT = 2**18
 # most digits convert reads through the engine, by source: sd to gray
 # spends ticks quadratic in the digits (100 digits of 1/3: ~4 s and
 # ~60 MB), gray to sd linear ones (10 000 digits: ~4.5 s and <100 MB)
 CONVERT_DIGIT_LIMIT = {"sd": 100, "gray": 10_000}
+DIGITS_FORMAT = "comma-separated digits (-1, 0, 1 in sd; -1, 1 and _ for a bot cell in gray)"
 
 
 class CliError(Exception):
@@ -78,6 +77,21 @@ def _digit_str(d, rep) -> str:
     if rep == "gray" and d == BOT_CELL:
         return "_"
     return str(d)
+
+
+def _parse(parse, text, rep, where):
+    """parse(text, rep), with a digit literal's error naming where it came from."""
+    try:
+        return parse(text, rep)
+    except ValueError as exc:
+        raise CliError(f"{where} {text!r}: {exc}; use {DIGITS_FORMAT}, pre;period for a stream") from None
+
+
+def _gray_text(cells, bots, missed) -> str:
+    """Engine Gray cells against the exact code: Unresolved prints "_" where
+    bots says the exact cell is bot, else "?", whose index joins missed."""
+    missed.extend(i for i, (c, bot) in enumerate(zip(cells, bots)) if c is None and not bot)
+    return " ".join("_" if c is None and bot else _digit_str(c, "gray") for c, bot in zip(cells, bots))
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +125,7 @@ def _input_stream(args, rep) -> tuple:
             )
         return (sd_encode if rep == "sd" else gray_encode)(x), x
     if args.stream is not None:
-        stream = parse_stream(args.stream, rep)
+        stream = _parse(parse_stream, args.stream, rep, "--stream")
         value = stream.sd_value() if rep == "sd" else stream.gray_value()
         return stream, value
     raise CliError("need --value or --stream")
@@ -138,16 +152,12 @@ def cmd_convert(args) -> int:
     e = prelude.engine
 
     if src == "sd":
-        cells = extract_gray(e, sd2gray_node(prelude, inject_sd(stream)), n, fuel)
-        print(" ".join(_digit_str(c, "gray") for c in cells))
-        oracle = gray_prefix(x, n)
-        ok = all(
-            c is not None or oracle[i] == BOT_CELL for i, c in enumerate(cells)
-        )
-        return 0 if ok else 1
+        missed = []
+        cells = extract_gray(e, sd2gray_node(prelude, stream), n, fuel)
+        print(_gray_text(cells, [c == BOT_CELL for c in gray_prefix(x, n)], missed))
+        return 1 if missed else 0
 
-    node = e.apply(prelude.node("gray2sd"), e.load(inject_gray(stream, "star")))
-    digits = extract_sd(e, node, n, fuel)
+    digits = extract_sd(e, gray2sd_node(prelude, stream), n, fuel)
     print(" ".join(_digit_str(d, "sd") for d in digits))
     return 0 if all(d is not None for d in digits) else 1
 
@@ -164,7 +174,7 @@ def cmd_eval(args) -> int:
     except RecursionError:  # parse_defs reports its own as a ParseError
         raise CliError(f"{args.file}: a term is nested too deeply") from None
     except ObservationTooLarge as exc:
-        raise CliError(f"{args.file}: {exc}; lower --depth") from None
+        raise CliError(f"{args.file}: {exc}; lower --depth or --fuel") from None
     print(obs)
     return 1 if obs == UNRESOLVED_TEXT else 0
 
@@ -180,21 +190,12 @@ def _dump_sd(tree, depth) -> str:
 
 
 def _dump_gray(node, exact, depth, cells, missed) -> str:
-    """A Gray tree to depth, with the first cells cells of each code.
-    exact is gray_lazy of the same set, walked alongside: an Unresolved
-    cell prints "_" where the exact cell is bot and "?" where it is
-    defined, and each "?" is appended to the list missed."""
+    """A Gray tree to depth, with the first cells cells of each code, each
+    printed against exact, gray_lazy of the same set walked alongside."""
 
     def code(cell, exact_cell):
-        out = []
-        for i in range(cells):
-            c = cell(i)
-            if c is None and exact_cell(i) is None:
-                c = BOT_CELL
-            elif c is None:
-                missed.append(i)
-            out.append(_digit_str(c, "gray"))
-        return " ".join(out)
+        bots = [exact_cell(i) is None for i in range(cells)]
+        return _gray_text([cell(i) for i in range(cells)], bots, missed)
 
     parts = [f"min={code(node.cell_min, exact.cell_min)}", f"max={code(node.cell_max, exact.cell_max)}"]
     if depth > 0:
@@ -211,6 +212,12 @@ def cmd_tree(args) -> int:
         raise CliError("empty set")
     depth = args.depth
     action = args.action
+    # restriction and the tent maps never raise a denominator, so the
+    # root's endpoints bound every Gray code the tree encodes
+    q = max(x.denominator for iv in K.intervals for x in iv)
+    if (args.rep == "grayk" or action == "convert") and q > VALUE_DENOMINATOR_LIMIT:
+        limit = VALUE_DENOMINATOR_LIMIT
+        raise CliError(f"{args.set} has endpoint denominator {q}; the Gray code limit is {limit}")
 
     # every reader below stops at depth; the trees themselves are lazy
     if action == "value":
@@ -254,7 +261,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    cells = parse_digits(args.prefix, args.rep)
+    cells = _parse(parse_digits, args.prefix, args.rep, "prefix")
     s = sd_prefix_interval(cells) if args.rep == "sd" else gray_prefix_set(cells)
     print(s)
     return 0
@@ -307,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="engine-driven stream conversion")
     p.add_argument("source", choices=("sd", "gray"))
     p.add_argument("target", choices=("sd", "gray"))
-    p.add_argument("--value")
-    p.add_argument("--stream")
+    p.add_argument("--value", help="a rational p/q in [-1,1]")
+    p.add_argument("--stream", help="an eventually periodic stream pre;period of " + DIGITS_FORMAT)
     p.add_argument("--digits", type=_count, default=DEFAULT_DEPTH)
     p.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
     p.set_defaults(fn=cmd_convert)
@@ -330,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_tree)
 
     p = sub.add_parser("oracle", help="exact interval set of a digit prefix")
-    p.add_argument("prefix")
+    p.add_argument("prefix", help=DIGITS_FORMAT)
     p.add_argument("rep", choices=("sd", "gray"))
     p.set_defaults(fn=cmd_oracle)
 

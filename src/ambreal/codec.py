@@ -15,6 +15,15 @@ Digit conventions, here and in term encodings:
 Gray cell i of x is the sign of t^i(x) where t(x) = 1 - 2|x|; the cell is
 bot exactly when that iterate is 0, which happens at most once and only
 for dyadic x in (-1,1).
+
+This module is the one boundary between digit streams and the graph
+machine.  The injectors take an EPStream (a Pair spine whose period is a
+rec loop) or a finite digit sequence (that prefix and a bot tail), with
+plain signed digits or racing Gray cells as heads.  sd2gray_node and
+gray2sd_node hold the prelude's recipes for the two conversions.  The
+readers take the two shapes that come out: read_gray and extract_gray a
+G* stream (plain conses of racing cells), extract_sd an S* stream
+(racing conses of plain digits).
 """
 
 from __future__ import annotations
@@ -23,9 +32,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .engine import UNLIMITED
 from .intervals import IntervalSet
-from .terms import BOT, Con, Term
+from .terms import BOT, Con, Lam, Rec, Term, Var
 
 BOT_CELL = 0  # the unknown-cell marker in gray digit lists
 
@@ -111,7 +119,10 @@ def parse_digits(text: str, rep: str) -> tuple:
                 raise ValueError("bot cell only exists in gray streams")
             out.append(BOT_CELL)
         else:
-            d = int(tok)
+            try:
+                d = int(tok)
+            except ValueError:
+                d = None
             if rep == "sd" and d not in (-1, 0, 1):
                 raise ValueError(f"bad signed digit {tok}")
             if rep == "gray" and d not in (-1, 1):
@@ -235,58 +246,53 @@ SD_TERMS = {
     1: Con("Left", (Con("Right", (Con("Nil", ()),)),)),
     0: Con("Right", (Con("Nil", ()),)),
 }
-GRAY_TERMS = {
-    -1: Con("Left", (Con("Nil", ()),)),
-    1: Con("Right", (Con("Nil", ()),)),
+# Gray cells as stream heads: the finite iteration Amb(Left(cell), bot),
+# with Amb(bot, bot) for the bot cell.  One term object per cell, so a
+# stream shares its cells' terms and Engine.load compiles each once.
+GRAY_STAR_TERMS = {
+    -1: Con("Amb", (Con("Left", (Con("Left", (Con("Nil", ()),)),)), BOT)),
+    1: Con("Amb", (Con("Left", (Con("Right", (Con("Nil", ()),)),)), BOT)),
+    BOT_CELL: Con("Amb", (BOT, BOT)),
 }
 
 
-def _spine(cells, tail: Term) -> Term:
-    t = tail
-    for c in reversed(cells):
-        t = Con("Pair", (c, t))
-    return t
+def _inject(cells: dict, stream) -> Term:
+    """The Pair spine of the cells' terms: an EPStream as its prefix and a
+    rec-defined loop of its period, a finite digit sequence as itself and
+    a bot tail."""
+
+    def spine(digits, tail):
+        for c in reversed(digits):
+            tail = Con("Pair", (cells[c], tail))
+        return tail
+
+    if isinstance(stream, EPStream):
+        return spine(stream.pre, Rec(Lam("s", spine(stream.period, Var("s")))))
+    return spine(stream, BOT)
 
 
-def _cyclic_stream(pre_cells, period_cells) -> Term:
-    from .terms import Lam, Rec, Var
-
-    loop = Rec(Lam("s", _spine(period_cells, Var("s"))))
-    return _spine(pre_cells, loop)
+def inject_sd(stream) -> Term:
+    """A plain signed-digit spine: the digits themselves as heads."""
+    return _inject(SD_TERMS, stream)
 
 
-def inject_sd(stream: EPStream) -> Term:
-    """A rec-defined term unfolding to the infinite Pair spine of digits."""
-    pre = [SD_TERMS[d] for d in stream.pre]
-    per = [SD_TERMS[d] for d in stream.period]
-    return _cyclic_stream(pre, per)
-
-
-def sd2gray_node(prelude, digits: Term):
-    """The node of the prelude's sd2gray applied to a plain signed-digit
-    spine through sd_emb: the Gray stream that read_gray reads."""
-    e = prelude.engine
-    return e.apply(prelude.node("sd2gray"), e.apply(prelude.node("sd_emb"), e.load(digits)))
-
-
-# Gray cells as stream heads: "plain" is the cell itself or bot, "star" the
-# finite iteration Amb(Left(cell), bot), with Amb(bot, bot) for the bot cell.
-# One term object per cell, so a stream shares its cells' terms and
-# Engine.load compiles each once.
-GRAY_CELL_TERMS = {
-    "plain": {**GRAY_TERMS, BOT_CELL: BOT},
-    "star": {
-        **{c: Con("Amb", (Con("Left", (t,)), BOT)) for c, t in GRAY_TERMS.items()},
-        BOT_CELL: Con("Amb", (BOT, BOT)),
-    },
-}
-
-
-def inject_gray(stream: EPStream, wrap: str = "star") -> Term:
-    if wrap not in GRAY_CELL_TERMS:
+def inject_gray(stream, wrap: str = "star") -> Term:
+    """A Gray spine of racing cells (GRAY_STAR_TERMS); "star" is the only wrap."""
+    if wrap != "star":
         raise ValueError(wrap)
-    cells = GRAY_CELL_TERMS[wrap]
-    return _cyclic_stream([cells[c] for c in stream.pre], [cells[c] for c in stream.period])
+    return _inject(GRAY_STAR_TERMS, stream)
+
+
+def sd2gray_node(prelude, stream):
+    """The prelude's sd2gray applied through sd_emb to a signed-digit stream."""
+    e = prelude.engine
+    return e.apply(prelude.node("sd2gray"), e.apply(prelude.node("sd_emb"), e.load(inject_sd(stream))))
+
+
+def gray2sd_node(prelude, stream):
+    """The prelude's gray2sd applied to a Gray stream."""
+    e = prelude.engine
+    return e.apply(prelude.node("gray2sd"), e.load(inject_gray(stream)))
 
 
 # ---------------------------------------------------------------------------
@@ -315,58 +321,47 @@ def _sd_digit(engine, node, fuel) -> Optional[int]:
     raise ShapeError(f"not a signed digit: {view[1]}")
 
 
-def extract_sd(engine, source, n: int, fuel=UNLIMITED) -> list:
-    """Read n signed digits from a racing-cons stream; None marks Unresolved.
-
-    Each cons is resolved by collapsing its finite iteration with a fresh
-    budget, and each digit gets a fresh budget too.
-    """
-    node = engine._node(source)
-    out = []
-    for _ in range(n):
-        view, _left = engine.collapse_star(node, fuel)
-        if view is None:
-            out.append(None)
-            break
-        kind, tag, kids = view
-        if tag != "Pair":
-            raise ShapeError(f"stream cons resolved to {tag}")
-        out.append(_sd_digit(engine, kids[0], fuel))
-        node = kids[1]
-    while len(out) < n:
-        out.append(None)
-    return out
+def _gray_cell(engine, node, fuel) -> Optional[int]:
+    """Decode one racing Gray cell by collapsing it; None while Unresolved."""
+    view, _left = engine.collapse_star(node, fuel)
+    if view is None:
+        return None
+    if view[1] not in _SIGNS:
+        raise ShapeError(f"not a gray cell: {view[1]}")
+    return _SIGNS[view[1]]
 
 
-def read_gray(engine, source, n: int, fuel=UNLIMITED) -> tuple:
-    """Read up to n gray cells from a Pair spine of race-valued cells.
-
-    Returns the cells read and the spine node after the last of them, or
-    None for that node (and fewer cells) where the spine itself stays
-    Unresolved, so that reading can go on from where it stopped.
-    """
-    node = engine._node(source)
+def _read(engine, node, n: int, fuel, cons, cell) -> tuple:
+    """Read up to n cells off a Pair spine, driving each cons with cons and
+    decoding its head with cell, each on a fresh budget.  Returns the cells
+    and the spine node after them, or None for it (and fewer cells) where
+    the spine stays Unresolved, so that reading can go on where it stopped."""
     out = []
     while len(out) < n:
-        view, _left = engine.resolve_amb(node, fuel)
+        view, _left = cons(node, fuel)
         if view is None:
             return out, None
         kind, tag, kids = view
         if tag != "Pair":
             raise ShapeError(f"stream cons resolved to {tag}")
-        cellview, _ = engine.collapse_star(kids[0], fuel)
-        if cellview is None:
-            out.append(None)
-        else:
-            ctag = cellview[1]
-            if ctag not in _SIGNS:
-                raise ShapeError(f"not a gray cell: {ctag}")
-            out.append(_SIGNS[ctag])
+        out.append(cell(engine, kids[0], fuel))
         node = kids[1]
     return out, node
 
 
-def extract_gray(engine, source, n: int, fuel=UNLIMITED) -> list:
-    """Read n gray cells from a Pair spine of race-valued cells."""
+def read_gray(engine, source, n: int, fuel) -> tuple:
+    """_read on a G* stream: plain conses of racing cells."""
+    return _read(engine, source, n, fuel, engine.resolve_amb, _gray_cell)
+
+
+def extract_gray(engine, source, n: int, fuel) -> list:
+    """Read n gray cells from a G* stream; None marks Unresolved."""
     out, _tail = read_gray(engine, source, n, fuel)
+    return out + [None] * (n - len(out))
+
+
+def extract_sd(engine, source, n: int, fuel) -> list:
+    """Read n signed digits from an S* stream (racing conses of plain
+    digits); None marks Unresolved."""
+    out, _tail = _read(engine, source, n, fuel, engine.collapse_star, _sd_digit)
     return out + [None] * (n - len(out))

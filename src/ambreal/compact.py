@@ -45,18 +45,8 @@ from __future__ import annotations
 import weakref
 from fractions import Fraction
 
-from .codec import (
-    BOT_CELL,
-    EPStream,
-    gray_encode,
-    inject_sd,
-    read_gray,
-    sd2gray_node,
-    _spine,
-    SD_TERMS,
-)
+from .codec import BOT_CELL, EPStream, gray_encode, read_gray, sd2gray_node
 from .intervals import EmptySet, IntervalSet
-from .terms import BOT
 
 HALF = Fraction(1, 2)
 
@@ -466,13 +456,6 @@ class EngineGray:
         self._memo[source] = self
         self._codes = {} if _codes is None else _codes
 
-    def _code_node(self, stream):
-        if isinstance(stream, EPStream):
-            src = inject_sd(stream)
-        else:  # truncated walk: finite prefix, divergent tail
-            src = _spine([SD_TERMS[d] for d in stream], BOT)
-        return sd2gray_node(self.prelude, src)
-
     def _cell(self, pick, i):
         # the conversion's record of this code's stream: the cells read so
         # far and the unread spine tail (None once the spine stays
@@ -483,7 +466,7 @@ class EngineGray:
             key = stream if isinstance(stream, EPStream) else tuple(stream)
             code = self._codes.get(key)
             if code is None:
-                code = self._codes[key] = [[], self._code_node(stream)]
+                code = self._codes[key] = [[], sd2gray_node(self.prelude, stream)]
             self._cells[pick] = code
         cells, tail = code
         if len(cells) <= i and tail is not None:

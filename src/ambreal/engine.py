@@ -139,7 +139,7 @@ class MalformedStar(EngineError):
 
 
 class ObservationTooLarge(EngineError):
-    """An observation would hold more than OBSERVE_NODE_LIMIT nodes."""
+    """An observation past OBSERVE_NODE_LIMIT nodes or OBSERVE_TICK_LIMIT ticks."""
 
 
 # ---------------------------------------------------------------------------
@@ -783,6 +783,10 @@ UNRESOLVED_TEXT = "<unresolved>"
 # (3^12).  A depth alone bounds nothing, since each level can double an
 # observation: rec (fun s -> Pair(s, s)) at depth 30 has 2^31 - 1 nodes
 OBSERVE_NODE_LIMIT = 3**12
+# most ticks one observation spends, whatever its fuel per node: a growing
+# term keeps 120-385 bytes a tick on six growth programs (the most for a
+# three-way Amb of recursive calls), so its graph stays under ~400 MB
+OBSERVE_TICK_LIMIT = 10**6
 
 
 # ---------------------------------------------------------------------------
@@ -802,9 +806,6 @@ class Engine:
         """Compile a closed term into a node; OpenTerm if it is not closed."""
         return Node(SUSP, 0, None, None, compile_term(t), None)
 
-    def _node(self, t):
-        return self.load(t) if isinstance(t, Term) else t
-
     def view(self, node):
         """("con", tag, children) or ("lam", None, None) of a node in head
         form, as the fueled calls return it."""
@@ -818,7 +819,7 @@ class Engine:
     # call pauses the collector for its duration, whatever its fuel.
 
     def _drive(self, drive, t, fuel):
-        node = self._node(t)
+        node = self.load(t) if isinstance(t, Term) else t
         paused = gc.isenabled()
         if paused:
             gc.disable()
@@ -852,13 +853,19 @@ class Engine:
         its children, left to right) from an explicit stack, which also
         holds the separators written between them, and ObservationTooLarge
         stops the walk past OBSERVE_NODE_LIMIT nodes.
+
+        A node gets the ticks left of OBSERVE_TICK_LIMIT where those are
+        fewer than its fuel, and raises ObservationTooLarge if it spends
+        them all and stays Unresolved.  A drive takes the same ticks to its
+        result at any larger fuel, so what fits reads as with no limit.
         """
         if policy not in ("raw", "resolving"):
             raise ValueError(policy)
         drive = self.resolve_amb if policy == "resolving" else self.whnf
         out = []
         driven = 0
-        stack = [(self._node(t), depth)]
+        ticks = OBSERVE_TICK_LIMIT  # left to spend
+        stack = [(t, depth)]
         while stack:
             item = stack.pop()
             if type(item) is str:  # a separator pushed below
@@ -868,7 +875,12 @@ class Engine:
                 raise ObservationTooLarge(f"the observation has more than {OBSERVE_NODE_LIMIT} nodes")
             driven += 1
             node, depth = item
-            view, _left = drive(node, fuel_per_node)
+            fuel = min(fuel_per_node, ticks)
+            start = _tick
+            view, _left = drive(node, fuel)
+            ticks -= _tick - start
+            if view is None and not ticks and fuel < fuel_per_node:
+                raise ObservationTooLarge(f"the observation spends more than {OBSERVE_TICK_LIMIT} ticks")
             if view is None:
                 out.append(UNRESOLVED_TEXT)
                 continue

@@ -18,10 +18,10 @@ from ambreal.codec import (
     BOT_CELL,
     extract_gray,
     extract_sd,
+    gray2sd_node,
     gray_encode,
     gray_prefix,
     gray_prefix_set,
-    inject_gray,
     inject_sd,
     sd_encode,
     sd_prefix_interval,
@@ -129,9 +129,7 @@ def test_c3_gray_to_sd():
     e = prelude.engine
     n = 24
     for x in corpus_200():
-        g = gray_encode(x)
-        node = e.apply(prelude.node("gray2sd"), e.load(inject_gray(g, "star")))
-        digs = extract_sd(e, node, n, 10**5)
+        digs = extract_sd(e, gray2sd_node(prelude, gray_encode(x)), n, 10**5)
         assert all(d is not None for d in digs), x
         for i in range(1, n + 1):
             assert sd_prefix_interval(digs[:i]).contains(x), (x, i)

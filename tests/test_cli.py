@@ -90,7 +90,7 @@ def test_encode_domain_error():
 
 def test_convert_sd_gray_half():
     code, out, _ = run("convert", "sd", "gray", "--value", "1/2", "--digits", "4")
-    assert out == "1 ? 1 -1"
+    assert out == "1 _ 1 -1"
     assert code == 0  # the unresolved cell is the oracle bot cell
 
 
@@ -106,7 +106,22 @@ def test_convert_identity():
 
 def test_convert_stream_input():
     code, out, _ = run("convert", "sd", "gray", "--stream=1;0", "--digits", "4")
-    assert code == 0 and out == "1 ? 1 -1"
+    assert code == 0 and out == "1 _ 1 -1"
+
+
+@pytest.mark.parametrize("x", ["1/3", "1/2", "-5/7", "3/8"])
+def test_convert_sd_gray_prints_the_encoding(x):
+    # the engine's cells print as encode prints the exact ones, "_" for bot
+    code, out, _ = run("convert", "sd", "gray", f"--value={x}", "--digits", "8")
+    assert code == 0
+    assert out == run("encode", x, "gray", "8")[1].splitlines()[0]
+
+
+@pytest.mark.parametrize("literal, token", [("1 0;-1", "1 0"), ("1,x", "x"), ("1;", "period")])
+def test_convert_bad_stream_literal(literal, token):
+    code, out, err = run("convert", "sd", "gray", f"--stream={literal}")
+    assert code == 2 and out == ""
+    assert f"--stream {literal!r}" in err and token in err and "pre;period" in err
 
 
 def test_convert_domain_error():
@@ -221,6 +236,43 @@ def test_eval_observation_past_the_node_budget(tmp_path):
     peak = re.search(r"VmHWM:\s*(\d+) kB", proc.stderr)
     if peak is not None:
         assert int(peak.group(1)) < 200 * 1024
+
+
+def test_eval_observation_past_the_tick_budget(tmp_path):
+    # every node of this stream is a term that grows by a node a tick; at
+    # the default fuel the observation runs out of ticks in its first such
+    # node and is refused with exit 2, in memory that the tick budget
+    # bounds.  The child patches in a budget of 2 * 10^5 ticks (a tenth of
+    # a default node's fuel) and reports its own peak, as above
+    f = tmp_path / "t.cfp"
+    f.write_text("main = rec (fun s -> Pair((rec (fun f -> fun x -> f (Pair(x, x)))) Nil, s)) ;")
+    import ambreal
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(list(ambreal.__path__)[0]), env.get("PYTHONPATH", "")]
+    )
+    script = (
+        "import os, resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**30, 2**30))\n"
+        "from ambreal import engine\n"
+        "from ambreal.cli import main\n"
+        "engine.OBSERVE_TICK_LIMIT = 2 * 10**5\n"
+        "code = main(sys.argv[1:])\n"
+        "if os.path.exists('/proc/self/status'):\n"
+        "    with open('/proc/self/status') as fh:\n"
+        "        print(*[l for l in fh if l.startswith('VmHWM')], file=sys.stderr, end='')\n"
+        "sys.exit(code)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", str(f)],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "more than 200000 ticks" in proc.stderr
+    peak = re.search(r"VmHWM:\s*(\d+) kB", proc.stderr)
+    if peak is not None:
+        assert int(peak.group(1)) < 100 * 1024
 
 
 # tree
@@ -341,6 +393,26 @@ def test_tree_dump_at_the_depth_limit():
 def test_tree_convert_grayk():
     code, out, _ = run("tree", "[0,0]", "grayk", "2", "convert")
     assert code == 0 and out.startswith("(E=")
+
+
+@pytest.mark.parametrize(
+    "rep, action", [("grayk", "encode"), ("grayk", "value"), ("grayk", "convert"), ("sdk", "convert")]
+)
+def test_tree_gray_codes_above_the_denominator_limit(rep, action):
+    # each of these encodes Gray codes of the set's endpoints, whose
+    # periods grow with the denominator: refused before any tree is built
+    q = VALUE_DENOMINATOR_LIMIT + 1
+    start = time.perf_counter()
+    code, out, err = run("tree", f"[1/2,{q - 1}/{q}]", rep, "2", action)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and f"denominator {q};" in err and f"limit is {VALUE_DENOMINATOR_LIMIT}" in err
+    # at the limit it runs
+    assert run("tree", f"[1/2,{q - 2}/{q - 1}]", rep, "1", action)[0] == 0
+
+
+def test_tree_sdk_value_has_no_denominator_limit():
+    code, out, _ = run("tree", "[1/16777259,1/2]", "sdk", "6", "value")
+    assert code == 0 and out == "[-1/64,17/32]"
 
 
 def test_tree_empty_set():

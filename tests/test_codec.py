@@ -259,9 +259,9 @@ def test_inject_extract_gray_star(engine):
 
 
 def test_inject_gray_plain_bot_cell(engine):
-    g0 = gray_encode(0)
-    t = inject_gray(g0, "plain")
-    # cell 0 is literally bot; cells 1, 2 are readable
+    # gray_encode(0) = _ 1 (-1)^omega as a plain spine: cell 0 is literally
+    # bot; cells 1, 2 are readable
+    t = parse_term("Pair(bot, Pair(Right(Nil), rec (fun s -> Pair(Left(Nil), s))))")
     assert engine.observe(t, 4, 10**4) == (
         "Pair(<unresolved>, Pair(Right(Nil), Pair(Left(Nil), Pair(Left(...), Pair(...)))))"
     )
@@ -306,7 +306,9 @@ def test_gray_cell_in_digit_place_is_a_shape_error(engine):
 
 
 def test_spine_ending_in_bot_pads_unresolved(engine):
-    got = extract_gray(engine, parse_term("Pair(Amb(Left(Left(Nil)), bot), bot)"), 3, 10**4)
+    t = parse_term("Pair(Amb(Left(Left(Nil)), bot), bot)")
+    assert inject_gray([-1]) == t  # a finite digit sequence ends in bot
+    got = extract_gray(engine, t, 3, 10**4)
     assert got == [-1, None, None]
 
 

@@ -20,8 +20,8 @@ from ambreal.codec import (
     extract_gray,
     extract_sd,
     gray_encode,
+    gray2sd_node,
     gray_prefix,
-    inject_gray,
     inject_sd,
     sd_encode,
     sd_prefix_interval,
@@ -42,11 +42,7 @@ def run_sd2gray(prelude, x, n, fuel=10**5):
 
 
 def run_gray2sd(prelude, x, n, fuel=10**5):
-    g = gray_encode(x)
-    node = prelude.engine.apply(
-        prelude.node("gray2sd"), prelude.engine.load(inject_gray(g, "star"))
-    )
-    return extract_sd(prelude.engine, node, n, fuel)
+    return extract_sd(prelude.engine, gray2sd_node(prelude, gray_encode(x)), n, fuel)
 
 
 CASES = [

@@ -177,6 +177,24 @@ def test_observe_past_the_node_limit(monkeypatch):
     assert len(drives) == 31
 
 
+def test_observe_past_the_tick_limit(monkeypatch):
+    # a node gets the ticks the observation has left where those are fewer
+    # than its fuel: spending them all and staying Unresolved raises, an
+    # observation that fits reads as with no limit, and a cut-off that
+    # leaves ticks unspent is an Unresolved node as before
+    grow = "(rec (fun f -> fun x -> f (Pair(x, x)))) Nil"
+    fits = parse_term(f"Pair({grow}, Pair(Left(Nil), Nil))")
+    want = Engine().observe(fits, 3, 1000)
+    monkeypatch.setattr(engine, "OBSERVE_TICK_LIMIT", 1000)
+    assert want == "Pair(<unresolved>, Pair(Left(Nil), Nil))"
+    assert Engine().observe(fits, 3, 1000) == want
+    with pytest.raises(ObservationTooLarge, match="more than 1000 ticks"):
+        Engine().observe(fits, 3, 1001)
+    with pytest.raises(ObservationTooLarge, match="more than 1000 ticks"):
+        Engine().observe(parse_term(f"Pair({grow}, {grow})"), 3, 600)
+    assert Engine().observe(parse_term("rec (fun s -> Amb(s, s))"), 3) == UNRESOLVED_TEXT
+
+
 # ---------------------------------------------------------------------------
 # strict application
 
@@ -655,6 +673,17 @@ def test_frozen_spine_loop_below_top(e):
     start = engine._tick
     assert e.whnf(node, 10**4) == (None, 0)
     assert engine._tick == start
+
+
+def test_form_reads_an_application_s_children(e):
+    # two applications that differ only in their argument have different
+    # forms, so a recurrence check cannot take one state for the other
+    fn = parse_term("fun x -> x")
+    forms = [
+        engine._form(e.apply(e.load(fn), e.load(parse_term(arg))), 0)[0]
+        for arg in ("Nil", "Left(Nil)")
+    ]
+    assert forms[0] != forms[1]
 
 
 def test_collapse_checks_cost_at_most_their_ticks(monkeypatch):
