@@ -45,9 +45,10 @@ DEFAULT_DEPTH = 16
 # deepest tree that tree ... encode|convert prints: a dump has up to 3^depth
 # nodes ([-1,1] has that many), so depth 12 is already ~17 MB of text
 DUMP_DEPTH_LIMIT = 12
-# most digits that encode prints with their hull: the hull's endpoints have
-# numerators of up to N+1 bits, and Python prints an int of at most 4 300
-# decimal digits (~14 280 bits) by default
+# most digits that encode prints with their hull, deepest tree ... value and
+# longest oracle prefix: each prints exact endpoints of up to N+1 bits, and
+# Python prints an int of at most 4 300 decimal digits (~14 280 bits) by
+# default
 ENCODE_DIGIT_LIMIT = 10_000
 # largest denominator of a convert --value between sd and gray, and of the
 # endpoints of a tree that encodes Gray codes: periods can be as long as twice
@@ -117,18 +118,14 @@ def cmd_encode(args) -> int:
 
 def _input_stream(args, rep) -> tuple:
     """Returns (stream, exact value)."""
-    if args.value is not None:
-        x = _frac(args.value)
-        if x.denominator > VALUE_DENOMINATOR_LIMIT:
-            raise CliError(
-                f"--value {x} has denominator {x.denominator}; the limit is {VALUE_DENOMINATOR_LIMIT}"
-            )
-        return (sd_encode if rep == "sd" else gray_encode)(x), x
     if args.stream is not None:
         stream = _parse(parse_stream, args.stream, rep, "--stream")
         value = stream.sd_value() if rep == "sd" else stream.gray_value()
         return stream, value
-    raise CliError("need --value or --stream")
+    x = _frac(args.value)
+    if x.denominator > VALUE_DENOMINATOR_LIMIT:
+        raise CliError(f"--value {x} has denominator {x.denominator}; the limit is {VALUE_DENOMINATOR_LIMIT}")
+    return (sd_encode if rep == "sd" else gray_encode)(x), x
 
 
 def cmd_convert(args) -> int:
@@ -221,6 +218,8 @@ def cmd_tree(args) -> int:
 
     # every reader below stops at depth; the trees themselves are lazy
     if action == "value":
+        if depth > ENCODE_DIGIT_LIMIT:
+            raise CliError(f"value prints the set's endpoints at depth {depth}; the limit is {ENCODE_DIGIT_LIMIT}")
         T = sd_tree(K) if args.rep == "sdk" else gray_lazy(K)
         print(tree_value_set(T, depth))
         return 0
@@ -262,6 +261,8 @@ def cmd_tree(args) -> int:
 
 def cmd_oracle(args) -> int:
     cells = _parse(parse_digits, args.prefix, args.rep, "prefix")
+    if len(cells) > ENCODE_DIGIT_LIMIT:
+        raise CliError(f"oracle prints the hull of {len(cells)} digits; the limit is {ENCODE_DIGIT_LIMIT}")
     s = sd_prefix_interval(cells) if args.rep == "sd" else gray_prefix_set(cells)
     print(s)
     return 0
@@ -314,8 +315,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("convert", help="engine-driven stream conversion")
     p.add_argument("source", choices=("sd", "gray"))
     p.add_argument("target", choices=("sd", "gray"))
-    p.add_argument("--value", help="a rational p/q in [-1,1]")
-    p.add_argument("--stream", help="an eventually periodic stream pre;period of " + DIGITS_FORMAT)
+    g = p.add_mutually_exclusive_group(required=True)
+    g.add_argument("--value", help="a rational p/q in [-1,1]")
+    g.add_argument("--stream", help="an eventually periodic stream pre;period of " + DIGITS_FORMAT)
     p.add_argument("--digits", type=_count, default=DEFAULT_DEPTH)
     p.add_argument("--fuel", type=_count, default=DEFAULT_FUEL)
     p.set_defaults(fn=cmd_convert)

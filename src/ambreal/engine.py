@@ -26,12 +26,14 @@ as divergent; or, on a lambda, the tick of its last entry.
 
 Divergence is detected eagerly where sound: a node whose step is the
 identity (bot, a stuck application, a frozen scrutinee matching no clause)
-is flagged quiescent, a fuel loop that observes a no-progress tick drains
-the remaining fuel in one go, an Amb node that wins its own race becomes
-bot, and a finite-iteration collapse whose state recurs modulo the
-closures it never applies is cut off (below; the unknown cell of a Gray
-code at a dyadic point would otherwise burn every tick given).  None of
-this changes results or ticks, only the cost of reporting Unresolved.
+is flagged quiescent, a fuel loop that observes a no-progress tick stops,
+an Amb node that wins its own race becomes bot, and a finite-iteration
+collapse whose state recurs modulo the closures it never applies is cut
+off (below; the unknown cell of a Gray code at a dyadic point would
+otherwise burn every tick given).  None of this changes an answer or its
+ticks.  Every fueled call returns (node or None, fuel left) having spent
+fuel - left ticks, so an Unresolved with fuel left is a cut-off, reached
+after the same ticks at any larger fuel, and one with none ran out.
 
 The recurrence cut-off.  At a peel boundary the future of collapse_node
 depends only on the graph its run can read from the peel root x.  _form
@@ -515,11 +517,11 @@ def whnf_node(x, fuel):
         if k == CON or k == LAM:
             return x, fuel
         if x.q or fuel <= 0:
-            return None, 0
+            return None, fuel
         fuel -= 1
         _tick += 1
         if not _step(x):
-            return None, 0
+            return None, fuel
 
 
 def resolve_node(x, fuel):
@@ -527,9 +529,7 @@ def resolve_node(x, fuel):
     global _tick
     while True:
         x, fuel = whnf_node(x, fuel)
-        if x is None:
-            return None, 0
-        if x.kind != CON or x.tag != AMB:
+        if x is None or x.kind != CON or x.tag != AMB:
             return x, fuel
         while True:
             a = x.k0
@@ -551,11 +551,11 @@ def resolve_node(x, fuel):
                 won = b
                 break
             if fuel <= 0 or (a.q and b.q):
-                return None, 0
+                return None, fuel
             fuel -= 1
             _tick += 1
             if not _step(x):
-                return None, 0
+                return None, fuel
         x.k0 = None
         x.k1 = None
         # Only this commitment and head's VAR_ arm make an indirection.
@@ -569,7 +569,7 @@ def resolve_node(x, fuel):
         if won is x:
             x.kind = BOT
             x.q = True
-            return None, 0
+            return None, fuel
         # commitment: the Amb node becomes its chosen branch for good
         x.kind = IND
         x.code = won
@@ -670,7 +670,7 @@ def collapse_node(x, fuel):
     while True:
         r, fuel = resolve_node(x, fuel)
         if r is None:
-            return None, 0
+            return None, fuel
         if r.kind == CON and r.tag == RIGHT:
             x = r.k0
             peels += 1
@@ -682,7 +682,7 @@ def collapse_node(x, fuel):
                         if n.gen > since:
                             break
                     else:
-                        return None, 0  # the state recurs
+                        return None, fuel  # the state recurs
                 mark = (form, opaque)
                 since = _tick
                 due = work + len(form)
@@ -813,10 +813,10 @@ class Engine:
             return ("lam", None, None)
         return ("con", TAGS[node.tag], [node.k0, node.k1][: ARITY_OF[node.tag]])
 
-    # fueled evaluation; every method returns (result, fuel_left), with
-    # None standing for Unresolved.  Almost every node allocated during a
-    # run stays reachable, so cyclic-gc passes are pure cost: every fueled
-    # call pauses the collector for its duration, whatever its fuel.
+    # fueled evaluation; every method returns (view or None, fuel left), as
+    # whnf_node does.  Almost every node allocated during a run stays
+    # reachable, so cyclic-gc passes are pure cost: every fueled call
+    # pauses the collector for its duration, whatever its fuel.
 
     def _drive(self, drive, t, fuel):
         node = self.load(t) if isinstance(t, Term) else t
@@ -876,10 +876,9 @@ class Engine:
             driven += 1
             node, depth = item
             fuel = min(fuel_per_node, ticks)
-            start = _tick
-            view, _left = drive(node, fuel)
-            ticks -= _tick - start
-            if view is None and not ticks and fuel < fuel_per_node:
+            view, left = drive(node, fuel)
+            ticks -= fuel - left
+            if view is None and not left and fuel < fuel_per_node:
                 raise ObservationTooLarge(f"the observation spends more than {OBSERVE_TICK_LIMIT} ticks")
             if view is None:
                 out.append(UNRESOLVED_TEXT)

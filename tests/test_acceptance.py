@@ -23,6 +23,7 @@ from ambreal.codec import (
     gray_prefix,
     gray_prefix_set,
     inject_sd,
+    sd2gray_node,
     sd_encode,
     sd_prefix_interval,
 )
@@ -148,8 +149,7 @@ def _probe_dyadic(x, fuels):
     for fuel in fuels:
         prelude = load_prelude()
         e = prelude.engine
-        s = sd_encode(x)
-        node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
+        node = sd2gray_node(prelude, sd_encode(x))
         # walk the spine to cell j, then collapse the cell with this fuel
         for _ in range(j):
             view, _left = e.resolve_amb(node, 10**6)
@@ -169,9 +169,7 @@ def test_c4_sd_to_gray():
     dyadics = []
     for x in xs:
         oracle = gray_prefix(x, n)
-        s = sd_encode(x)
-        node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
-        cells = extract_gray(e, node, n, 10**5)
+        cells = extract_gray(e, sd2gray_node(prelude, sd_encode(x)), n, 10**5)
         for got, want in zip(cells, oracle):
             if want == BOT_CELL:
                 assert got is None, (x, "bot cell resolved")
@@ -190,10 +188,7 @@ def test_c4_sd_to_gray():
 @criterion(5, "unknown-cell independence")
 def test_c5_bot_cell_independence():
     prelude = load_prelude()
-    e = prelude.engine
-    s = sd_encode(Fraction(0))
-    node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
-    cells = extract_gray(e, node, 9, 10**4)
+    cells = extract_gray(prelude.engine, sd2gray_node(prelude, sd_encode(Fraction(0))), 9, 10**4)
     assert cells[0] is None
     oracle = gray_prefix(Fraction(0), 9)
     assert cells[1:] == oracle[1:] and all(c is not None for c in cells[1:])

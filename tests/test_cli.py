@@ -142,7 +142,14 @@ def test_convert_negative_value():
 
 def test_convert_needs_input():
     code, _, err = run("convert", "sd", "gray", "--digits", "4")
-    assert code == 2
+    assert code == 2 and "one of the arguments --value --stream is required" in err
+
+
+def test_convert_takes_one_input():
+    # --value and --stream name the input twice: neither one is dropped
+    code, out, err = run("convert", "sd", "gray", "--value=1/3", "--stream=1", "--digits", "3")
+    assert code == 2 and out == ""
+    assert "not allowed with argument" in err
 
 
 # eval
@@ -410,6 +417,22 @@ def test_tree_gray_codes_above_the_denominator_limit(rep, action):
     assert run("tree", f"[1/2,{q - 2}/{q - 1}]", rep, "1", action)[0] == 0
 
 
+@pytest.mark.parametrize("rep", ["sdk", "grayk"])
+def test_tree_value_above_the_depth_limit(monkeypatch, rep):
+    # the endpoints at depth n have n-bit denominators: refused before any
+    # tree is built
+    import ambreal.cli
+
+    def unused(*args):
+        raise AssertionError("no tree is built above the limit")
+
+    for name in ("sd_tree", "gray_lazy", "tree_value_set"):
+        monkeypatch.setattr(ambreal.cli, name, unused)
+    code, out, err = run("tree", "[0,1/2]", rep, str(ENCODE_DIGIT_LIMIT + 1), "value")
+    assert code == 2 and out == ""
+    assert f"depth {ENCODE_DIGIT_LIMIT + 1}; the limit is {ENCODE_DIGIT_LIMIT}" in err
+
+
 def test_tree_sdk_value_has_no_denominator_limit():
     code, out, _ = run("tree", "[1/16777259,1/2]", "sdk", "6", "value")
     assert code == 0 and out == "[-1/64,17/32]"
@@ -438,6 +461,20 @@ def test_oracle_many_bot_cells_is_fast():
     start = time.perf_counter()
     assert run("oracle", ",".join(["_"] * 40), "gray") == (0, "[-1,1]", "")
     assert time.perf_counter() - start < 1
+
+
+@pytest.mark.parametrize("rep, hull", [("sd", "sd_prefix_interval"), ("gray", "gray_prefix_set")])
+def test_oracle_above_the_digit_limit(monkeypatch, rep, hull):
+    import ambreal.cli
+
+    def unused(*args):
+        raise AssertionError("no hull is computed above the limit")
+
+    monkeypatch.setattr(ambreal.cli, hull, unused)
+    n = ENCODE_DIGIT_LIMIT + 1
+    code, out, err = run("oracle", ",".join(["1"] * n), rep)
+    assert code == 2 and out == ""
+    assert f"hull of {n} digits; the limit is {ENCODE_DIGIT_LIMIT}" in err
 
 
 def test_usage_error_exit_two():

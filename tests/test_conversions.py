@@ -22,7 +22,7 @@ from ambreal.codec import (
     gray_encode,
     gray2sd_node,
     gray_prefix,
-    inject_sd,
+    sd2gray_node,
     sd_encode,
     sd_prefix_interval,
 )
@@ -30,15 +30,8 @@ from ambreal.codec import (
 from .conftest import random_dyadic, random_rational
 
 
-def sd_star_node(prelude, stream):
-    e = prelude.engine
-    return e.apply(prelude.node("sd_emb"), e.load(inject_sd(stream)))
-
-
 def run_sd2gray(prelude, x, n, fuel=10**5):
-    s = sd_encode(x)
-    node = prelude.engine.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
-    return extract_gray(prelude.engine, node, n, fuel)
+    return extract_gray(prelude.engine, sd2gray_node(prelude, sd_encode(x)), n, fuel)
 
 
 def run_gray2sd(prelude, x, n, fuel=10**5):
@@ -95,10 +88,7 @@ def test_gray2sd_one(prelude):
 
 def test_bot_cell_independence_at_zero(prelude):
     # x = 0: cell 0 never resolves, cells 1..8 do
-    s = sd_encode(Fraction(0))
-    e = prelude.engine
-    node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, s))
-    cells = extract_gray(e, node, 9, 10**4)
+    cells = extract_gray(prelude.engine, sd2gray_node(prelude, sd_encode(Fraction(0))), 9, 10**4)
     assert cells[0] is None
     oracle = gray_prefix(Fraction(0), 9)
     assert cells[1:] == oracle[1:]
@@ -135,24 +125,21 @@ def test_unknown_cell_cut_off(prelude, x):
     # says so within a few thousand ticks of a 10^7 budget
     j = gray_prefix(x, 8).index(BOT_CELL)
     e = prelude.engine
-    node = e.apply(prelude.node("sd2gray"), sd_star_node(prelude, sd_encode(x)))
+    node = sd2gray_node(prelude, sd_encode(x))
     for _ in range(j):
         node = e.resolve_amb(node, 10**5)[0][2][1]
     cell = e.resolve_amb(node, 10**5)[0][2][0]
-    start = engine._tick
-    assert e.collapse_star(cell, 10**7) == (None, 0)
-    assert engine._tick - start <= 4 * engine.CHECK_WORK
+    v, left = e.collapse_star(cell, 10**7)
+    assert v is None and 10**7 - left <= 4 * engine.CHECK_WORK
 
 
 LONG_PERIOD = """
-from ambreal.codec import EPStream, extract_gray, inject_sd
+from ambreal.codec import EPStream, extract_gray, sd2gray_node
 from ambreal.prelude import load_prelude
 
 p = load_prelude()
-e = p.engine
-src = e.load(inject_sd(EPStream((), (1, 0, -1) * 40000)))
-node = e.apply(p.node("sd2gray"), e.apply(p.node("sd_emb"), src))
-print(extract_gray(e, node, 6, 10**5))
+node = sd2gray_node(p, EPStream((), (1, 0, -1) * 40000))
+print(extract_gray(p.engine, node, 6, 10**5))
 """
 
 
